@@ -4,7 +4,7 @@ The scenario-diversity claim ("the flow is workload-agnostic") used to
 rest on three convolution workloads through one strategy; this benchmark
 turns it into an *enforced* matrix.  Every cell of
 
-    registered workload  x  registered search strategy  x  {bitplane, compiled}
+    registered workload  x  registered search strategy  x  {bool, compiled}
 
 runs the AutoAx-FPGA flow twice (cold + warm repeat) through a fresh
 :class:`repro.api.ExplorationSession` sharing one per-backend cache, and
@@ -57,7 +57,7 @@ BENCH_JSON_PATH = Path(__file__).resolve().parents[1] / "BENCH_workload_matrix.j
 #: it here fails the gate instead of silently shrinking coverage.
 MATRIX_WORKLOADS = ("dct", "fir", "fir_mixed", "gaussian", "mvm", "sharpen", "sobel")
 MATRIX_STRATEGIES = ("hill_climb", "nsga2", "random_archive", "sh_ehvi")
-MATRIX_BACKENDS = ("bitplane", "compiled")
+MATRIX_BACKENDS = ("bool", "compiled")
 
 STUDY = dict(
     parameters=("area",),

@@ -1,10 +1,20 @@
 """Setup shim for environments without wheel/PEP-517 editable support."""
 
+import re
+from pathlib import Path
+
 from setuptools import find_packages, setup
+
+# Single-sourced: the version lives in ``repro.__version__``.
+VERSION = re.search(
+    r'^__version__ = "([^"]+)"',
+    (Path(__file__).parent / "src" / "repro" / "__init__.py").read_text(),
+    re.MULTILINE,
+).group(1)
 
 setup(
     name="repro",
-    version="1.6.0",
+    version=VERSION,
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.9",

@@ -86,17 +86,15 @@ Simulation backends
 -------------------
 Behavioural simulation itself is pluggable through the
 :data:`repro.circuits.SIM_BACKENDS` registry: ``"bool"`` is the original
-one-byte-per-pattern implementation, ``"bitplane"``
-(:mod:`repro.circuits.bitplane`) packs 64 patterns into each ``uint64``
-lane for a several-fold speedup on large pattern counts, and ``"compiled"``
-(:mod:`repro.circuits.compiled`) lowers each netlist once into a levelized
-op tape over packed bit planes -- cached per structural fingerprint and
-executed by a cache-tiled native interpreter where a C compiler is
-available (NumPy fallback otherwise) -- for another order of magnitude on
-Monte-Carlo workloads.  Backends are
-bit-identical by contract -- enforced by the differential suite
-(``pytest -m sim_backends``) -- so evaluators default to ``"auto"``
-workload-size selection and cached results are shared across backends.
+one-byte-per-pattern implementation and serves as the reference oracle,
+and ``"compiled"`` (:mod:`repro.circuits.compiled`) lowers each netlist
+once into a levelized op tape over packed bit planes (64 patterns per
+``uint64`` lane) -- cached per structural fingerprint and executed by a
+cache-tiled native interpreter where a C compiler is available (NumPy
+fallback otherwise).  Backends are bit-identical by contract -- enforced
+by the differential suite (``pytest -m sim_backends``) -- so evaluators
+default to ``"auto"`` workload-size selection (``"compiled"`` from 4096
+patterns, ``"bool"`` below) and cached results are shared across backends.
 For operand widths whose pattern sets are too large for one allocation,
 :class:`repro.error.ErrorAccumulator` accumulates MED/WCE/error-rate over
 streamed pattern blocks (``ErrorEvaluator(..., chunk_patterns=...)``),

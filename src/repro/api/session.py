@@ -74,8 +74,8 @@ class ExplorationSession:
         Forwarded to every :class:`BatchEvaluator` the session builds
         (``"auto"`` fans large miss sets out over a process pool).
     sim_backend:
-        Simulation backend for error evaluation (``"bool"``, ``"bitplane"``,
-        ``"compiled"`` or ``"auto"``, see
+        Simulation backend for error evaluation (``"bool"``, ``"compiled"``
+        or ``"auto"``, see
         :data:`repro.circuits.SIM_BACKENDS`); forwarded to every engine the
         session builds.  Backends are bit-identical, so this only affects
         speed (and cached results are shared across backends).

@@ -2,10 +2,8 @@
 
 from .gates import (
     GATE_ARITY,
-    PACKED_GATE_FUNCTIONS,
     GateType,
     evaluate_gate,
-    evaluate_gate_packed,
     gate_truth_table,
 )
 from .netlist import Gate, Netlist, NetlistError
@@ -15,8 +13,6 @@ from .bitplane import (
     PLANE_WIDTH,
     num_planes,
     pack_bits,
-    simulate_bits_packed,
-    simulate_planes,
     unpack_bits,
 )
 from .compiled import (
@@ -27,7 +23,6 @@ from .compiled import (
     simulate_planes_compiled,
 )
 from .simulate import (
-    AUTO_BACKEND_MIN_PATTERNS,
     AUTO_COMPILED_MIN_PATTERNS,
     DEFAULT_SIM_BACKEND,
     SIM_BACKENDS,
@@ -45,10 +40,8 @@ from .verilog import to_verilog
 
 __all__ = [
     "GATE_ARITY",
-    "PACKED_GATE_FUNCTIONS",
     "GateType",
     "evaluate_gate",
-    "evaluate_gate_packed",
     "gate_truth_table",
     "Gate",
     "Netlist",
@@ -60,15 +53,12 @@ __all__ = [
     "PLANE_WIDTH",
     "num_planes",
     "pack_bits",
-    "simulate_bits_packed",
-    "simulate_planes",
     "unpack_bits",
     "CompiledProgram",
     "clear_program_cache",
     "compile_netlist",
     "simulate_bits_compiled",
     "simulate_planes_compiled",
-    "AUTO_BACKEND_MIN_PATTERNS",
     "AUTO_COMPILED_MIN_PATTERNS",
     "DEFAULT_SIM_BACKEND",
     "SIM_BACKENDS",

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .netlist import Netlist
-from .simulate import random_operands, words_to_bits
+from .simulate import expand_operand_bits, random_operands
 
 
 def node_signal_probabilities(
@@ -20,12 +20,10 @@ def node_signal_probabilities(
 ) -> np.ndarray:
     """Probability of each node being logic-1 under uniform random inputs."""
     rng = np.random.default_rng(seed)
-    operands = random_operands(netlist, num_samples, rng)
-    input_bits = np.zeros((num_samples, netlist.num_inputs), dtype=bool)
-    for name, bit_ids in netlist.input_words.items():
-        word_bits = words_to_bits(np.asarray(operands[name]), len(bit_ids))
-        for position, node_id in enumerate(bit_ids):
-            input_bits[:, node_id] = word_bits[:, position]
+    if netlist.input_words:
+        input_bits = expand_operand_bits(netlist, random_operands(netlist, num_samples, rng))
+    else:  # constant-only netlist: no operand fixes the pattern count
+        input_bits = np.zeros((num_samples, 0), dtype=bool)
 
     values = [input_bits[:, i] for i in range(netlist.num_inputs)]
     zeros = np.zeros(num_samples, dtype=bool)

@@ -1,13 +1,11 @@
-"""Packed bit-plane simulation backend.
+"""Packed bit-plane layout shared by the compiled backend and its callers.
 
-The default (``"bool"``) simulation backend spends one NumPy byte per
-pattern per net.  This module packs 64 patterns into each lane of a
-``uint64`` *bit plane* per net -- the classic bit-parallel trick behind
-EvoApproxLib's C models -- so every gate evaluation processes 64 patterns
-per machine word: 8x less memory traffic and up to 64x less gate-evaluation
-work.  :func:`simulate_bits_packed` is a drop-in, bit-identical replacement
-for :func:`repro.circuits.simulate.simulate_bits` and is registered in the
-:data:`~repro.circuits.simulate.SIM_BACKENDS` registry under ``"bitplane"``.
+The reference (``"bool"``) simulation backend spends one NumPy byte per
+pattern per net.  The compiled backend (:mod:`repro.circuits.compiled`)
+instead packs 64 patterns into each lane of a ``uint64`` *bit plane* per
+net -- the classic bit-parallel trick behind EvoApproxLib's C models -- so
+every op processes 64 patterns per machine word.  This module holds the
+codec between the two layouts: :func:`pack_bits` and :func:`unpack_bits`.
 
 Layout: a boolean vector of ``patterns`` values packs into
 ``num_planes(patterns)`` lanes; pattern ``p`` lives in lane ``p // 64``.
@@ -21,20 +19,13 @@ gates turn zero padding into ones -- and are sliced off by
 
 from __future__ import annotations
 
-from typing import Callable, Dict
-
 import numpy as np
-
-from .gates import PLANE_ONES, GateType
-from .netlist import Netlist
 
 __all__ = [
     "PLANE_WIDTH",
     "num_planes",
     "pack_bits",
     "unpack_bits",
-    "simulate_planes",
-    "simulate_bits_packed",
 ]
 
 #: Patterns carried per ``uint64`` lane.
@@ -85,102 +76,3 @@ def unpack_bits(packed: np.ndarray, num_patterns: int) -> np.ndarray:
         )
     bits = np.unpackbits(packed.view(np.uint8), axis=-1, bitorder="little")
     return bits[..., :num_patterns].astype(bool)
-
-
-# --------------------------------------------------------------------- #
-# In-place gate kernels.  The simulation loop writes every gate's result
-# into a preallocated row of the plane matrix, so a full netlist pass does
-# no per-gate allocation; inverting gates compute into the output row and
-# invert it in place.  Operand rows always have a smaller node id than the
-# output row (topological order), so ``out`` never aliases ``a``/``b``.
-# These kernels must stay semantically identical to
-# ``gates.PACKED_GATE_FUNCTIONS`` (and hence ``gates.GATE_FUNCTIONS``);
-# the per-gate-type differential tests in tests/test_sim_backends.py pin
-# all three tables to each other.
-# --------------------------------------------------------------------- #
-def _nand(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
-    np.bitwise_and(a, b, out=out)
-    np.bitwise_not(out, out=out)
-
-
-def _nor(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
-    np.bitwise_or(a, b, out=out)
-    np.bitwise_not(out, out=out)
-
-
-def _xnor(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
-    np.bitwise_xor(a, b, out=out)
-    np.bitwise_not(out, out=out)
-
-
-def _andnot(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
-    np.bitwise_not(b, out=out)
-    np.bitwise_and(a, out, out=out)
-
-
-def _ornot(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
-    np.bitwise_not(b, out=out)
-    np.bitwise_or(a, out, out=out)
-
-
-_INPLACE_GATE_OPS: Dict[GateType, Callable[[np.ndarray, np.ndarray, np.ndarray], None]] = {
-    GateType.CONST0: lambda a, b, out: out.fill(0),
-    GateType.CONST1: lambda a, b, out: out.fill(PLANE_ONES),
-    GateType.BUF: lambda a, b, out: np.copyto(out, a),
-    GateType.NOT: lambda a, b, out: np.bitwise_not(a, out=out),
-    GateType.AND: lambda a, b, out: np.bitwise_and(a, b, out=out),
-    GateType.OR: lambda a, b, out: np.bitwise_or(a, b, out=out),
-    GateType.XOR: lambda a, b, out: np.bitwise_xor(a, b, out=out),
-    GateType.NAND: _nand,
-    GateType.NOR: _nor,
-    GateType.XNOR: _xnor,
-    GateType.ANDNOT: _andnot,
-    GateType.ORNOT: _ornot,
-}
-
-
-def simulate_planes(netlist: Netlist, input_planes: np.ndarray) -> np.ndarray:
-    """Simulate on pre-packed input planes, returning packed output planes.
-
-    ``input_planes`` is a ``(num_inputs, planes)`` ``uint64`` matrix (net
-    major, as produced by ``pack_bits(input_bits.T)``); the result is the
-    ``(num_outputs, planes)`` packed output.  This is the allocation-free
-    core of the backend: callers that evaluate many circuits on the same
-    operand set (the batch evaluator) pack once and reuse the planes.
-    """
-    input_planes = np.ascontiguousarray(input_planes, dtype=np.uint64)
-    if input_planes.ndim != 2 or input_planes.shape[0] != netlist.num_inputs:
-        raise ValueError(
-            f"expected input planes of shape ({netlist.num_inputs}, planes), "
-            f"got {input_planes.shape}"
-        )
-    planes = input_planes.shape[1]
-    num_inputs = netlist.num_inputs
-    values = np.empty((netlist.num_nodes, planes), dtype=np.uint64)
-    values[:num_inputs] = input_planes
-    floating = np.zeros(planes, dtype=np.uint64)
-    for index, gate in enumerate(netlist.gates):
-        out = values[num_inputs + index]
-        a = values[gate.a] if gate.a >= 0 else floating
-        b = values[gate.b] if gate.b >= 0 else floating
-        _INPLACE_GATE_OPS[gate.gate_type](a, b, out)
-    return values[list(netlist.output_bits)]
-
-
-def simulate_bits_packed(netlist: Netlist, input_bits: np.ndarray) -> np.ndarray:
-    """Bit-identical packed counterpart of :func:`~repro.circuits.simulate.simulate_bits`.
-
-    Takes the same (patterns, num_inputs) boolean matrix and returns the
-    same (patterns, num_outputs) boolean matrix; internally the patterns are
-    packed into ``uint64`` planes, simulated 64 patterns per lane and
-    unpacked again.
-    """
-    input_bits = np.asarray(input_bits, dtype=bool)
-    if input_bits.ndim != 2 or input_bits.shape[1] != netlist.num_inputs:
-        raise ValueError(
-            f"expected input matrix of shape (patterns, {netlist.num_inputs}), "
-            f"got {input_bits.shape}"
-        )
-    patterns = input_bits.shape[0]
-    output_planes = simulate_planes(netlist, pack_bits(input_bits.T))
-    return unpack_bits(output_planes, patterns).T

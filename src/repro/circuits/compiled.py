@@ -1,9 +1,10 @@
 """Compiled netlist backend: lower once into a levelized op tape.
 
-The bit-plane backend (:mod:`repro.circuits.bitplane`) removed the
-per-pattern cost of simulation; what remains is per-*gate* Python dispatch,
-one interpreter round-trip plus one or two NumPy calls per gate per
-simulation.  This module removes most of that too, with the classic
+Packing 64 patterns per ``uint64`` lane (:mod:`repro.circuits.bitplane`)
+removes the per-pattern cost of simulation; what a gate-by-gate packed
+simulator still pays is per-*gate* Python dispatch, one interpreter
+round-trip plus one or two NumPy calls per gate per simulation.  This
+module removes most of that too, with the classic
 compile-once/simulate-many restructuring:
 
 :func:`compile_netlist` lowers a :class:`~repro.circuits.netlist.Netlist`
@@ -502,7 +503,7 @@ def clear_program_cache() -> None:
 # Backend entry points
 # --------------------------------------------------------------------- #
 def simulate_planes_compiled(netlist: Netlist, input_planes: np.ndarray) -> np.ndarray:
-    """Compiled counterpart of :func:`~repro.circuits.bitplane.simulate_planes`.
+    """Simulate ``netlist`` on pre-packed input planes.
 
     Compiles (or fetches the cached program for) ``netlist`` and executes
     the tape on pre-packed ``(num_inputs, planes)`` input planes, returning

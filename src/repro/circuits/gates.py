@@ -103,42 +103,10 @@ def evaluate_gate(gate_type: GateType, a: np.ndarray, b: np.ndarray) -> np.ndarr
     return GATE_FUNCTIONS[gate_type](a, b)
 
 
-#: All-ones lane used by the packed (bit-plane) gate semantics.
+#: All-ones ``uint64`` lane of the packed bit-plane layout (see
+#: :mod:`repro.circuits.bitplane`); the compiled backend preloads its
+#: constant-1 slot and output-inversion masks with it.
 PLANE_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
-
-#: Packed counterparts of :data:`GATE_FUNCTIONS`: the same truth tables
-#: expressed as bitwise operations on ``uint64`` planes, where every lane
-#: carries 64 input patterns (see :mod:`repro.circuits.bitplane`).  Padding
-#: lanes beyond the real pattern count may hold garbage (e.g. NOT turns
-#: zero-padding into ones); consumers must slice after unpacking.  The
-#: simulator's allocation-free in-place kernels in ``bitplane.py`` mirror
-#: this table; per-gate-type differential tests pin both to
-#: :data:`GATE_FUNCTIONS`.
-PACKED_GATE_FUNCTIONS: Dict[GateType, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
-    GateType.CONST0: lambda a, b: np.zeros_like(a),
-    GateType.CONST1: lambda a, b: np.full_like(a, PLANE_ONES),
-    GateType.BUF: lambda a, b: a.copy(),
-    GateType.NOT: lambda a, b: np.bitwise_not(a),
-    GateType.AND: np.bitwise_and,
-    GateType.OR: np.bitwise_or,
-    GateType.XOR: np.bitwise_xor,
-    GateType.NAND: lambda a, b: np.bitwise_not(np.bitwise_and(a, b)),
-    GateType.NOR: lambda a, b: np.bitwise_not(np.bitwise_or(a, b)),
-    GateType.XNOR: lambda a, b: np.bitwise_not(np.bitwise_xor(a, b)),
-    GateType.ANDNOT: lambda a, b: np.bitwise_and(a, np.bitwise_not(b)),
-    GateType.ORNOT: lambda a, b: np.bitwise_or(a, np.bitwise_not(b)),
-}
-
-
-def evaluate_gate_packed(gate_type: GateType, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Evaluate a single gate on packed ``uint64`` bit-plane operands.
-
-    Operand lanes carry 64 boolean patterns each; the result is the packed
-    equivalent of :func:`evaluate_gate` on the unpacked patterns.  As with
-    :func:`evaluate_gate`, unary gates ignore ``b`` and constant gates use
-    the operands only to size the result.
-    """
-    return PACKED_GATE_FUNCTIONS[gate_type](a, b)
 
 
 def gate_truth_table(gate_type: GateType) -> np.ndarray:

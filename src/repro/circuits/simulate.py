@@ -5,19 +5,17 @@ the circuit for an arbitrary number of input patterns.  This is the
 "behavioural model" counterpart of the C models that ship with EvoApproxLib
 in the original paper.
 
-Three interchangeable backends implement the pass, registered in the
+Two interchangeable backends implement the pass, registered in the
 :data:`SIM_BACKENDS` registry:
 
 * ``"bool"`` -- :func:`simulate_bits`, one NumPy ``bool`` byte per pattern
-  per net (the original implementation, and the default).
-* ``"bitplane"`` -- :func:`~repro.circuits.bitplane.simulate_bits_packed`,
-  64 patterns packed per ``uint64`` lane; bit-identical outputs, much
-  faster on large pattern counts.
+  per net: the reference oracle (and the default).
 * ``"compiled"`` -- :func:`~repro.circuits.compiled.simulate_bits_compiled`,
   lowers the netlist once into a levelized op tape (constant folding,
   dead-node elimination, per-fingerprint program cache) executed over
-  packed bit planes; the fastest choice when the same circuit is simulated
-  on many patterns, i.e. the Monte-Carlo inner loop.
+  packed bit planes by a native C or a NumPy executor; the production
+  choice when the same circuit is simulated on many patterns, i.e. the
+  Monte-Carlo inner loop.
 
 Backends are *bit-identical by contract*: the differential suite
 (``pytest -m sim_backends``) asserts it, and downstream caches rely on it.
@@ -33,7 +31,6 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 import numpy as np
 
 from ..registry import Registry
-from .bitplane import simulate_bits_packed
 from .compiled import simulate_bits_compiled
 from .gates import evaluate_gate
 from .netlist import Netlist
@@ -69,13 +66,11 @@ def simulate_bits(netlist: Netlist, input_bits: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------- #
 #: Registry of simulation backends: key -> ``(netlist, input_bits) -> output
 #: bits``.  All registered backends must be bit-identical; alternative
-#: implementations (e.g. a future native kernel) plug in by registering a
-#: key here.
+#: implementations plug in by registering a key here.
 SIM_BACKENDS = Registry(
     "simulation backend",
     {
         "bool": simulate_bits,
-        "bitplane": simulate_bits_packed,
         "compiled": simulate_bits_compiled,
     },
 )
@@ -83,13 +78,9 @@ SIM_BACKENDS = Registry(
 #: Default backend when none is requested (the legacy implementation).
 DEFAULT_SIM_BACKEND = "bool"
 
-#: ``"auto"`` picks the packed backend from this many patterns upward; below
-#: it the packing overhead is not worth it and the bool backend wins.
-AUTO_BACKEND_MIN_PATTERNS = 1024
-
-#: ``"auto"`` upgrades from ``"bitplane"`` to ``"compiled"`` from this many
-#: patterns upward, where the compile-once cost amortises within a single
-#: simulation even for cache-cold circuits.
+#: ``"auto"`` picks ``"compiled"`` from this many patterns upward, where the
+#: compile-once cost amortises within a single simulation even for
+#: cache-cold circuits; below it the ``"bool"`` backend wins.
 AUTO_COMPILED_MIN_PATTERNS = 4096
 
 SimBackend = Union[None, str, Callable[[Netlist, np.ndarray], np.ndarray]]
@@ -103,9 +94,8 @@ def resolve_sim_backend(
     ``backend`` may be ``None`` (the ``"bool"`` default), a
     :data:`SIM_BACKENDS` key, ``"auto"``, or a ready simulation callable,
     which is returned unchanged.  ``"auto"`` picks by workload size:
-    ``"bool"`` below :data:`AUTO_BACKEND_MIN_PATTERNS` patterns,
-    ``"bitplane"`` from there, and ``"compiled"`` from
-    :data:`AUTO_COMPILED_MIN_PATTERNS` upward.  Requesting ``"auto"``
+    ``"bool"`` below :data:`AUTO_COMPILED_MIN_PATTERNS` patterns and
+    ``"compiled"`` from there.  Requesting ``"auto"``
     without a pattern count raises: it used to resolve silently to the
     slowest backend, which punished exactly the callers who wanted speed.
     Unknown keys raise :class:`~repro.registry.RegistryError` listing the
@@ -123,12 +113,7 @@ def resolve_sim_backend(
                 "pass the pattern count, or use validate_sim_backend() if you "
                 "only want to fail fast on unknown backend keys"
             )
-        if patterns >= AUTO_COMPILED_MIN_PATTERNS:
-            backend = "compiled"
-        elif patterns >= AUTO_BACKEND_MIN_PATTERNS:
-            backend = "bitplane"
-        else:
-            backend = DEFAULT_SIM_BACKEND
+        backend = "compiled" if patterns >= AUTO_COMPILED_MIN_PATTERNS else DEFAULT_SIM_BACKEND
     return SIM_BACKENDS.get(backend)
 
 
@@ -198,8 +183,8 @@ def expand_operand_bits(
     Returns the (patterns, num_inputs) boolean matrix every simulation
     backend consumes, with each word's bits scattered to its primary-input
     node ids.  This is the single implementation of the word-to-bit layout;
-    the batch evaluator and the benchmarks reuse it so they measure exactly
-    what production simulates.
+    the error evaluator, switching-activity estimation and the benchmarks
+    reuse it so they measure exactly what production simulates.
     """
     missing = set(netlist.input_words) - set(operands)
     if missing:

@@ -71,7 +71,8 @@ def successive_pareto_fronts(points: np.ndarray, num_fronts: int) -> List[List[i
         local_front = pareto_front_indices(subset)
         front = [remaining[i] for i in local_front]
         fronts.append(sorted(front))
-        remaining = [index for index in remaining if index not in set(front)]
+        in_front = set(front)
+        remaining = [index for index in remaining if index not in in_front]
     return fronts
 
 

@@ -4,13 +4,13 @@
 methodology, the exploration accounting and the AutoAx search evaluate
 circuits.  It combines three mechanisms:
 
-* **Batching** -- all circuits of a call share one operand set: the
-  reference outputs are simulated once, the stacked operand matrices are
-  expanded to input-bit matrices once per word layout, and each circuit is
-  evaluated with a single vectorised pass over all patterns (the per-circuit
-  work reduces to one simulation-backend call + ``bits_to_words``; the
-  backend -- boolean or packed bit-plane -- is selected by the
-  ``sim_backend`` knob and never changes results or cache keys).
+* **Batching** -- all circuits of a call share one
+  :class:`~repro.error.ErrorEvaluator`: the reference outputs are simulated
+  once, the operands are laid out once per input-word layout, and each
+  circuit costs one :meth:`~repro.error.ErrorEvaluator.evaluate` call --
+  the same call the process-pool workers make.  The simulation backend
+  (``bool`` reference or ``compiled``) is selected by the ``sim_backend``
+  knob and never changes results or cache keys.
 * **Caching** -- every result is stored in an :class:`~repro.engine.cache.EvalCache`
   under a key derived from the circuit's structural fingerprint and the full
   evaluation context, so repeated evaluations (flow stages, coverage passes,
@@ -31,21 +31,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..asic import AsicReport, AsicSynthesizer
-from ..circuits import (
-    Netlist,
-    bits_to_words,
-    pack_bits,
-    resolve_sim_backend,
-    simulate_bits_compiled,
-    simulate_bits_packed,
-    simulate_planes,
-    simulate_planes_compiled,
-    unpack_bits,
-    validate_sim_backend,
-)
-from ..circuits.simulate import expand_operand_bits
+from ..circuits import Netlist, validate_sim_backend
 from ..error import ErrorEvaluator, ErrorReport
-from ..error.metrics import ErrorMetrics, compute_error_metrics
+from ..error.metrics import ErrorMetrics
 from ..fpga import FpgaReport, FpgaSynthesizer
 from .cache import EvalCache
 from .keys import accelerator_context, blake_token, cache_key, configuration_token
@@ -144,19 +132,6 @@ def _worker_fpga(task: Tuple[str, FpgaSynthesizer, List[Netlist]]) -> List[dict]
     return [_fpga_report_to_payload(cached.synthesize(circuit)) for circuit in circuits]
 
 
-def _prepare_accelerator_inputs(accelerator, inputs):
-    """Prepared per-input planes/references via the workload protocol.
-
-    Prefers the :class:`repro.workloads.ApproxAccelerator` method name
-    (``prepare_inputs``) and falls back to the legacy ``prepare_images``
-    spelling for foreign duck-typed accelerators.
-    """
-    prepare = getattr(accelerator, "prepare_inputs", None)
-    if prepare is None:
-        prepare = accelerator.prepare_images
-    return prepare(inputs)
-
-
 def _worker_configurations(task) -> List[dict]:
     """Exactly evaluate accelerator configurations against prepared images.
 
@@ -167,7 +142,7 @@ def _worker_configurations(task) -> List[dict]:
     context, accelerator, images, configurations = task
     prepared = _WORKER_STATE.get(context)
     if prepared is None:
-        prepared = _prepare_accelerator_inputs(accelerator, images)
+        prepared = accelerator.prepare_inputs(images)
         _WORKER_STATE[context] = prepared
     payloads = []
     for configuration in configurations:
@@ -221,12 +196,15 @@ class BatchEvaluator:
         Process-pool width (defaults to the CPU count).
     sim_backend:
         Simulation backend key for error evaluation (``"bool"``,
-        ``"bitplane"`` or ``"auto"``, see
-        :data:`repro.circuits.SIM_BACKENDS`).  Backends are bit-identical
+        ``"compiled"`` or ``"auto"``, see
+        :data:`repro.circuits.SIM_BACKENDS`), forwarded to the constructed
+        :class:`~repro.error.ErrorEvaluator`.  Backends are bit-identical
         by contract, so the key is deliberately *not* part of cache keys:
         results computed under one backend are served to every other.
         ``None`` inherits from ``error_evaluator`` when one is passed and
-        falls back to ``"auto"``.
+        falls back to ``"auto"``; a different key alongside an
+        ``error_evaluator`` raises, since it could never reach that
+        evaluator.
     fidelity:
         Explicit pattern-budget rung forwarded to the constructed
         :class:`~repro.error.ErrorEvaluator` (see its ``fidelity``
@@ -260,10 +238,16 @@ class BatchEvaluator:
         self.parallel_threshold = parallel_threshold
         self.cache = cache if cache is not None else EvalCache()
 
-        if sim_backend is None:
-            sim_backend = (
-                error_evaluator.sim_backend if error_evaluator is not None else "auto"
-            )
+        if error_evaluator is not None:
+            if sim_backend not in (None, error_evaluator.sim_backend):
+                raise ValueError(
+                    f"conflicting sim_backend {sim_backend!r}: the provided "
+                    f"error_evaluator simulates with {error_evaluator.sim_backend!r}; "
+                    "pass one or the other"
+                )
+            sim_backend = error_evaluator.sim_backend
+        elif sim_backend is None:
+            sim_backend = "auto"
         validate_sim_backend(sim_backend)  # fail fast on unknown keys
         self.sim_backend = sim_backend
 
@@ -280,8 +264,6 @@ class BatchEvaluator:
         self.asic_synthesizer = asic_synthesizer
         self.fpga_synthesizer = fpga_synthesizer
 
-        self._layout_bits: Dict[Tuple, np.ndarray] = {}
-        self._layout_planes: Dict[Tuple, np.ndarray] = {}
         self._prepared_images: Dict[str, object] = {}
         self._error_context: Optional[str] = None
         self._asic_context: Optional[str] = None
@@ -346,67 +328,6 @@ class BatchEvaluator:
                 synth.activity_seed,
             )
         return self._fpga_context
-
-    # ------------------------------------------------------------------ #
-    # Batched error evaluation: shared operands, one bit-expansion per layout
-    # ------------------------------------------------------------------ #
-    def _layout_of(self, circuit: Netlist) -> Tuple:
-        return tuple(sorted((name, tuple(bits)) for name, bits in circuit.input_words.items()))
-
-    def _input_bits_for(self, circuit: Netlist) -> np.ndarray:
-        layout = self._layout_of(circuit)
-        bits = self._layout_bits.get(layout)
-        if bits is None:
-            evaluator = self._require_error_evaluator()
-            bits = expand_operand_bits(circuit, evaluator.operands)
-            self._layout_bits[layout] = bits
-        return bits
-
-    def _input_planes_for(self, circuit: Netlist) -> np.ndarray:
-        """Packed input planes, cached per word layout like the bit matrix.
-
-        The packed backend would otherwise re-pack the shared bit matrix on
-        every circuit; packing once per layout keeps the per-circuit cost at
-        one `simulate_planes` pass.
-        """
-        layout = self._layout_of(circuit)
-        planes = self._layout_planes.get(layout)
-        if planes is None:
-            planes = pack_bits(self._input_bits_for(circuit).T)
-            self._layout_planes[layout] = planes
-        return planes
-
-    def _compute_error_report(self, circuit: Netlist) -> ErrorReport:
-        evaluator = self._require_error_evaluator()
-        if evaluator.streaming:
-            # Streaming evaluators bound peak memory by the chunk size; the
-            # shared full-size input-bit matrix would defeat that, so
-            # delegate to the evaluator's own chunked loop.
-            return evaluator.evaluate(circuit)
-        evaluator.check_interface(circuit)
-        simulate = resolve_sim_backend(self.sim_backend, patterns=evaluator.num_patterns)
-        # Plane-level fast paths: both packed backends accept pre-packed
-        # input planes, so pack once per word layout and skip the per-circuit
-        # pack entirely (the compiled backend additionally reuses its
-        # per-fingerprint program cache across evaluations).
-        if simulate is simulate_bits_compiled:
-            output_planes = simulate_planes_compiled(circuit, self._input_planes_for(circuit))
-            output_bits = unpack_bits(output_planes, evaluator.num_patterns).T
-        elif simulate is simulate_bits_packed:
-            output_planes = simulate_planes(circuit, self._input_planes_for(circuit))
-            output_bits = unpack_bits(output_planes, evaluator.num_patterns).T
-        else:
-            output_bits = simulate(circuit, self._input_bits_for(circuit))
-        outputs = bits_to_words(output_bits)
-        metrics = compute_error_metrics(
-            evaluator.exact_outputs, outputs, evaluator.max_output
-        )
-        return ErrorReport(
-            circuit_name=circuit.name,
-            metrics=metrics,
-            num_patterns=evaluator.num_patterns,
-            method=evaluator.method,
-        )
 
     # ------------------------------------------------------------------ #
     # Generic cached / fanned-out evaluation
@@ -488,7 +409,7 @@ class BatchEvaluator:
             circuits,
             domain="err",
             context=self._error_ctx(),
-            compute=self._compute_error_report,
+            compute=evaluator.evaluate,
             report_to_payload=_error_report_to_payload,
             payload_to_report=_payload_to_error_report,
             make_task=lambda ctx, chunk: (
@@ -497,9 +418,9 @@ class BatchEvaluator:
                 evaluator.max_exhaustive_inputs,
                 evaluator.num_samples,
                 evaluator.seed,
-                self.sim_backend,
+                evaluator.sim_backend,
                 evaluator.chunk_patterns,
-                getattr(evaluator, "fidelity", None),
+                evaluator.fidelity,
                 chunk,
             ),
             worker=_worker_errors,
@@ -558,9 +479,9 @@ class BatchEvaluator:
         results.
 
         The accelerator only needs ``multipliers``/``adders`` component
-        lists plus ``prepare_inputs`` (or the legacy ``prepare_images``
-        spelling) and ``evaluate_prepared`` -- the engine stays decoupled
-        from the concrete workload classes in :mod:`repro.workloads`.
+        lists plus ``prepare_inputs`` and ``evaluate_prepared`` -- the
+        engine stays decoupled from the concrete workload classes in
+        :mod:`repro.workloads`.
         """
         configurations = list(configurations)
         images = list(images)
@@ -604,7 +525,7 @@ class BatchEvaluator:
         def compute_serial() -> List[dict]:
             prepared = self._prepared_images.get(context)
             if prepared is None:
-                prepared = _prepare_accelerator_inputs(accelerator, images)
+                prepared = accelerator.prepare_inputs(images)
                 # Keep the memo tiny: prepared planes are per-image arrays
                 # and sessions rarely juggle more than a few image sets.
                 if len(self._prepared_images) >= 4:

@@ -8,9 +8,11 @@ enumeration is infeasible.
 
 Simulation runs on a pluggable backend (see
 :data:`repro.circuits.SIM_BACKENDS`): the default ``"auto"`` selection uses
-the packed bit-plane backend on large pattern counts and the boolean
-backend on small ones; all backends are bit-identical, so the choice only
-affects speed.  For wide operands, ``chunk_patterns`` streams the
+the compiled backend on large pattern counts and the boolean reference
+backend on small ones; both are bit-identical, so the choice only affects
+speed.  :meth:`ErrorEvaluator.evaluate` is the single place a circuit's
+error is simulated: the batch engine calls it in serial mode and in every
+process-pool worker.  For wide operands, ``chunk_patterns`` streams the
 evaluation over fixed-size pattern blocks through an
 :class:`~repro.error.metrics.ErrorAccumulator`, keeping peak memory flat
 regardless of the pattern count.
@@ -19,14 +21,19 @@ regardless of the pattern count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
 from ..circuits import Netlist
+from ..circuits.bitplane import pack_bits, unpack_bits
+from ..circuits.compiled import simulate_bits_compiled, simulate_planes_compiled
 from ..circuits.simulate import (
+    bits_to_words,
     exhaustive_operands,
+    expand_operand_bits,
     random_operands,
+    resolve_sim_backend,
     simulate_words,
     validate_sim_backend,
 )
@@ -65,9 +72,12 @@ class ErrorEvaluator:
         Seed for the Monte-Carlo operand generator (the same operands are
         reused for every circuit so results are comparable).
     sim_backend:
-        Simulation backend key (``"bool"``, ``"bitplane"``, ``"compiled"``)
-        or ``"auto"`` (the default: pick by pattern count).  Backends are
-        bit-identical; this knob only affects speed.
+        Simulation backend key (``"bool"``, ``"compiled"``), a simulation
+        callable, or ``"auto"`` (the default: pick by pattern count).
+        Backends are bit-identical; this knob only affects speed.  One-shot
+        evaluation expands the shared operands once per input-word layout
+        and keeps only what the backend consumes: packed bit planes for
+        ``"compiled"``, the boolean input-bit matrix otherwise.
     chunk_patterns:
         When set, simulation and metric computation stream over pattern
         blocks of at most this size (via :class:`ErrorAccumulator`), so
@@ -132,6 +142,7 @@ class ErrorEvaluator:
             self._method = "monte_carlo"
         self._num_patterns = int(len(next(iter(self._operands.values()))))
         self._max_output = (1 << reference.num_outputs) - 1
+        self._layout_inputs: Dict[Tuple, np.ndarray] = {}
         self._exact_outputs = self._simulate(reference)
 
     # ------------------------------------------------------------------ #
@@ -152,17 +163,37 @@ class ErrorEvaluator:
         for start in range(0, self._num_patterns, step):
             yield start, min(start + step, self._num_patterns)
 
+    def _block(self, start: int, stop: int) -> Dict[str, np.ndarray]:
+        return {name: values[start:stop] for name, values in self._operands.items()}
+
+    def _inputs_for(self, circuit: Netlist, packed: bool) -> np.ndarray:
+        """Shared operands laid out for ``circuit``'s input words, built once per layout."""
+        layout = tuple(sorted((name, tuple(bits)) for name, bits in circuit.input_words.items()))
+        inputs = self._layout_inputs.get(layout)
+        if inputs is None:
+            inputs = expand_operand_bits(circuit, self._operands)
+            if packed:
+                inputs = pack_bits(inputs.T)
+            self._layout_inputs[layout] = inputs
+        return inputs
+
+    def _simulate_one_shot(self, circuit: Netlist) -> np.ndarray:
+        """Output word on all shared operands in one pass."""
+        simulate = resolve_sim_backend(self.sim_backend, patterns=self._num_patterns)
+        if simulate is simulate_bits_compiled:
+            output_planes = simulate_planes_compiled(circuit, self._inputs_for(circuit, packed=True))
+            output_bits = unpack_bits(output_planes, self._num_patterns).T
+        else:
+            output_bits = simulate(circuit, self._inputs_for(circuit, packed=False))
+        return bits_to_words(output_bits)
+
     def _simulate(self, circuit: Netlist) -> np.ndarray:
         """Output word on the shared operands, chunked when configured."""
         if not self.streaming:
-            return simulate_words(circuit, self._operands, backend=self.sim_backend)
+            return self._simulate_one_shot(circuit)
         return np.concatenate(
             [
-                simulate_words(
-                    circuit,
-                    {name: values[start:stop] for name, values in self._operands.items()},
-                    backend=self.sim_backend,
-                )
+                simulate_words(circuit, self._block(start, stop), backend=self.sim_backend)
                 for start, stop in self._blocks()
             ]
         )
@@ -190,10 +221,6 @@ class ErrorEvaluator:
         """Maximum representable output value (normalises MED / relative WCE)."""
         return self._max_output
 
-    def check_interface(self, circuit: Netlist) -> None:
-        """Validate that ``circuit`` has the reference's word-level interface."""
-        self._check_interface(circuit)
-
     def _check_interface(self, circuit: Netlist) -> None:
         if set(circuit.input_words) != set(self.reference.input_words):
             raise ValueError(
@@ -211,15 +238,15 @@ class ErrorEvaluator:
         """Error metrics of ``circuit`` against the reference."""
         self._check_interface(circuit)
         if not self.streaming:
-            approx_outputs = simulate_words(circuit, self._operands, backend=self.sim_backend)
             metrics = compute_error_metrics(
-                self._exact_outputs, approx_outputs, self._max_output
+                self._exact_outputs, self._simulate_one_shot(circuit), self._max_output
             )
         else:
             accumulator = ErrorAccumulator(self._max_output)
             for start, stop in self._blocks():
-                block = {name: values[start:stop] for name, values in self._operands.items()}
-                approx_block = simulate_words(circuit, block, backend=self.sim_backend)
+                approx_block = simulate_words(
+                    circuit, self._block(start, stop), backend=self.sim_backend
+                )
                 accumulator.update(self._exact_outputs[start:stop], approx_block)
             metrics = accumulator.result()
         return ErrorReport(

@@ -305,19 +305,10 @@ def crowding_distances(points: np.ndarray) -> np.ndarray:
 
 def non_dominated_ranks(points: np.ndarray) -> np.ndarray:
     """Front rank per point (0 = first Pareto front), by successive peeling."""
-    from ..core.pareto import pareto_front_indices
+    from ..core.pareto import successive_pareto_fronts
 
-    points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 2:
-        raise ValueError(f"points must be 2-D (n, objectives), got shape {points.shape}")
-    ranks = np.full(points.shape[0], -1, dtype=np.int64)
-    remaining = list(range(points.shape[0]))
-    rank = 0
-    while remaining:
-        front_local = pareto_front_indices(points[remaining])
-        front = [remaining[i] for i in front_local]
+    fronts = successive_pareto_fronts(points, max(1, len(points)))
+    ranks = np.full(len(points), -1, dtype=np.int64)
+    for rank, front in enumerate(fronts):
         ranks[front] = rank
-        in_front = set(front)
-        remaining = [index for index in remaining if index not in in_front]
-        rank += 1
     return ranks

@@ -3,7 +3,7 @@
 * Seeded equivalence: `ApproxFpgasFlow` / `run_approxfpgas` / `AutoAxFpgaFlow`
   and the new `ExplorationSession` pipeline path produce identical results.
 * Simulation-backend equivalence: the same seeded runs are bit-identical
-  under the `"bool"` and `"bitplane"` simulation backends.
+  under the `"bool"` and `"compiled"` simulation backends.
 * The legacy entry points emit no deprecation warnings -- CI runs this file
   with ``-W error::DeprecationWarning`` to keep it that way.
 """
@@ -156,10 +156,10 @@ class TestSimBackendEquivalence:
     @pytest.mark.sim_backends
     def test_approxfpgas_bit_identical_across_backends(self, small_multiplier_library, config):
         results = {}
-        for backend in ("bool", "bitplane"):
+        for backend in ("bool", "compiled"):
             session = ExplorationSession(seed=config.seed, sim_backend=backend)
             results[backend] = session.run_approxfpgas(small_multiplier_library, config)
-        assert canonical_result(results["bool"]) == canonical_result(results["bitplane"])
+        assert canonical_result(results["bool"]) == canonical_result(results["compiled"])
 
     @pytest.mark.sim_backends
     def test_autoax_bit_identical_across_backends(self, autoax_parts):
@@ -171,7 +171,7 @@ class TestSimBackendEquivalence:
         _, _, autoax_config = autoax_parts
 
         signatures = {}
-        for backend in ("bool", "bitplane"):
+        for backend in ("bool", "compiled"):
             multipliers = components_from_library(
                 multiplier_library,
                 4,
@@ -188,7 +188,7 @@ class TestSimBackendEquivalence:
             signatures[backend] = autoax_signature(
                 session.run_autoax(multipliers, adders, autoax_config)
             )
-        assert signatures["bool"] == signatures["bitplane"]
+        assert signatures["bool"] == signatures["compiled"]
 
 
 class TestNoDeprecationWarnings:

@@ -45,7 +45,7 @@ def fixture_data():
         return json.load(handle)["circuits"]
 
 
-@pytest.mark.parametrize("backend", ["bool", "bitplane", "compiled"])
+@pytest.mark.parametrize("backend", ["bool", "compiled"])
 @pytest.mark.parametrize("key", sorted(GOLDEN_CIRCUITS))
 def test_exhaustive_outputs_match_frozen_fixture(key, backend, fixture_data):
     expected = fixture_data[key]

@@ -1,11 +1,12 @@
 """Differential tests of the simulation backends (``-m sim_backends``).
 
-The ``"bool"``, ``"bitplane"`` and ``"compiled"`` backends must be
+The ``"bool"`` reference and the ``"compiled"`` backend must be
 *bit-identical* on every netlist and every pattern count -- caches and flows
 rely on it (backend keys are deliberately absent from engine cache keys).
 This suite checks the contract several ways:
 
-* unit parity of every packed gate kernel against its boolean truth table;
+* unit parity of every gate type's compiled lowering against its boolean
+  truth table;
 * a seeded differential sweep over hundreds of randomly perturbed netlists
   and pattern counts (including non-multiples of 64 and floating
   ``gate.a/b == -1`` operands);
@@ -25,7 +26,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuits import (
-    AUTO_BACKEND_MIN_PATTERNS,
     AUTO_COMPILED_MIN_PATTERNS,
     PLANE_WIDTH,
     SIM_BACKENDS,
@@ -33,16 +33,13 @@ from repro.circuits import (
     GateType,
     Netlist,
     compile_netlist,
-    evaluate_gate,
-    evaluate_gate_packed,
     exhaustive_operands,
     num_planes,
     pack_bits,
     resolve_sim_backend,
     simulate_bits,
     simulate_bits_compiled,
-    simulate_bits_packed,
-    simulate_planes,
+    simulate_planes_compiled,
     simulate_words,
     unpack_bits,
     validate_sim_backend,
@@ -63,11 +60,10 @@ def random_input_bits(netlist: Netlist, patterns: int, rng: np.random.Generator)
 
 def assert_backends_agree(netlist: Netlist, input_bits: np.ndarray) -> None:
     reference = simulate_bits(netlist, input_bits)
-    for simulate in (simulate_bits_packed, simulate_bits_compiled):
-        outputs = simulate(netlist, input_bits)
-        assert outputs.dtype == reference.dtype
-        assert outputs.shape == reference.shape
-        assert np.array_equal(reference, outputs)
+    outputs = simulate_bits_compiled(netlist, input_bits)
+    assert outputs.dtype == reference.dtype
+    assert outputs.shape == reference.shape
+    assert np.array_equal(reference, outputs)
 
 
 # --------------------------------------------------------------------- #
@@ -75,13 +71,12 @@ def assert_backends_agree(netlist: Netlist, input_bits: np.ndarray) -> None:
 # --------------------------------------------------------------------- #
 class TestBackendRegistry:
     def test_builtin_keys(self):
-        assert list(SIM_BACKENDS) == ["bool", "bitplane", "compiled"]
+        assert list(SIM_BACKENDS) == ["bool", "compiled"]
         assert SIM_BACKENDS.get("bool") is simulate_bits
-        assert SIM_BACKENDS.get("bitplane") is simulate_bits_packed
         assert SIM_BACKENDS.get("compiled") is simulate_bits_compiled
 
     def test_unknown_key_lists_available(self):
-        with pytest.raises(RegistryError, match="bitplane"):
+        with pytest.raises(RegistryError, match="compiled"):
             resolve_sim_backend("cuda")
 
     def test_default_is_bool(self):
@@ -89,14 +84,10 @@ class TestBackendRegistry:
         assert resolve_sim_backend(None, patterns=10**9) is simulate_bits
 
     def test_auto_selects_by_pattern_count(self):
-        assert resolve_sim_backend("auto", patterns=AUTO_BACKEND_MIN_PATTERNS - 1) is simulate_bits
-        assert (
-            resolve_sim_backend("auto", patterns=AUTO_BACKEND_MIN_PATTERNS)
-            is simulate_bits_packed
-        )
+        assert resolve_sim_backend("auto", patterns=0) is simulate_bits
         assert (
             resolve_sim_backend("auto", patterns=AUTO_COMPILED_MIN_PATTERNS - 1)
-            is simulate_bits_packed
+            is simulate_bits
         )
         assert (
             resolve_sim_backend("auto", patterns=AUTO_COMPILED_MIN_PATTERNS)
@@ -174,27 +165,12 @@ class TestPacking:
 
 
 # --------------------------------------------------------------------- #
-# Per-gate kernel parity
+# Per-gate lowering parity
 # --------------------------------------------------------------------- #
 @pytest.mark.parametrize("gate_type", list(GateType))
-def test_packed_gate_matches_bool_gate(gate_type, rng):
-    patterns = 200  # deliberately not a multiple of PLANE_WIDTH
-    a_bits = rng.random(patterns) < 0.5
-    b_bits = rng.random(patterns) < 0.5
-    expected = evaluate_gate(gate_type, a_bits, b_bits)
-    packed = evaluate_gate_packed(gate_type, pack_bits(a_bits), pack_bits(b_bits))
-    assert np.array_equal(unpack_bits(packed, patterns), expected)
-
-
-@pytest.mark.parametrize("gate_type", list(GateType))
-def test_inplace_simulation_kernel_matches_bool_gate(gate_type, rng):
-    """Pin the simulator's in-place kernels (not just PACKED_GATE_FUNCTIONS).
-
-    ``simulate_planes`` dispatches to its own allocation-free kernel table;
-    a one-gate netlist per gate type proves each kernel agrees with the
-    boolean truth-table source in ``gates.py``, so the two packed tables
-    cannot drift apart unnoticed.
-    """
+def test_single_gate_lowering_matches_bool_gate(gate_type, rng):
+    """A one-gate netlist per gate type: the compiled lowering of each gate
+    agrees with the boolean truth-table source in ``gates.py``."""
     netlist = Netlist(
         name=f"single_{gate_type.name.lower()}",
         kind="test",
@@ -275,17 +251,10 @@ def test_floating_operands_read_as_zero():
     for patterns in (1, 64, 65, 130):
         bits = random_input_bits(netlist, patterns, rng)
         assert_backends_agree(netlist, bits)
-        outputs = simulate_bits_packed(netlist, bits)
+        outputs = simulate_bits_compiled(netlist, bits)
         assert not outputs[:, 2].any()                                       # a AND 0 == 0
         assert np.array_equal(outputs[:, 3], np.logical_not(bits[:, 1]))     # 0 OR NOT b
         assert not outputs[:, 4].any()                                       # BUF of floating == 0
-
-
-def test_simulate_planes_shape_validation(multiplier4):
-    with pytest.raises(ValueError):
-        simulate_planes(multiplier4, np.zeros((3, 2), dtype=np.uint64))
-    with pytest.raises(ValueError):
-        simulate_bits_packed(multiplier4, np.zeros((4, 3), dtype=bool))
 
 
 # --------------------------------------------------------------------- #
@@ -297,7 +266,6 @@ def test_simulate_words_backends_agree(multiplier4, rng):
         "b": rng.integers(0, 16, size=321),
     }
     reference = simulate_words(multiplier4, operands, backend="bool")
-    assert np.array_equal(simulate_words(multiplier4, operands, backend="bitplane"), reference)
     assert np.array_equal(simulate_words(multiplier4, operands, backend="compiled"), reference)
     assert np.array_equal(simulate_words(multiplier4, operands, backend="auto"), reference)
     assert np.array_equal(simulate_words(multiplier4, operands), reference)
@@ -307,9 +275,8 @@ def test_error_evaluator_backends_bit_identical(multiplier4):
     circuit = perturb_netlist(multiplier4, seed=11)
     reports = {
         backend: ErrorEvaluator(multiplier4, sim_backend=backend).evaluate(circuit)
-        for backend in ("bool", "bitplane", "compiled", "auto")
+        for backend in ("bool", "compiled", "auto")
     }
-    assert reports["bool"].metrics == reports["bitplane"].metrics
     assert reports["bool"].metrics == reports["compiled"].metrics
     assert reports["bool"].metrics == reports["auto"].metrics
 
@@ -320,11 +287,11 @@ def test_error_evaluator_monte_carlo_backends_bit_identical():
     bool_report = ErrorEvaluator(
         reference, max_exhaustive_inputs=10, num_samples=2048, sim_backend="bool"
     ).evaluate(circuit)
-    packed_report = ErrorEvaluator(
-        reference, max_exhaustive_inputs=10, num_samples=2048, sim_backend="bitplane"
+    compiled_report = ErrorEvaluator(
+        reference, max_exhaustive_inputs=10, num_samples=2048, sim_backend="compiled"
     ).evaluate(circuit)
     assert bool_report.method == "monte_carlo"
-    assert bool_report.metrics == packed_report.metrics
+    assert bool_report.metrics == compiled_report.metrics
 
 
 def test_streaming_evaluator_matches_one_shot(multiplier4):
@@ -332,7 +299,7 @@ def test_streaming_evaluator_matches_one_shot(multiplier4):
     one_shot = ErrorEvaluator(multiplier4, sim_backend="bool").evaluate(circuit)
     for chunk in (1, 37, 64, 100, 256, 10**6):
         chunked = ErrorEvaluator(
-            multiplier4, sim_backend="bitplane", chunk_patterns=chunk
+            multiplier4, sim_backend="compiled", chunk_patterns=chunk
         ).evaluate(circuit)
         exact_fields = ("med", "mae", "wce", "wce_relative", "error_probability", "mse")
         for field in exact_fields:
@@ -354,34 +321,38 @@ def test_engine_results_and_cache_shared_across_backends(multiplier4):
     bool_engine = BatchEvaluator(multiplier4, cache=cache, mode="serial", sim_backend="bool")
     bool_reports = bool_engine.evaluate_errors(circuits)
 
-    packed_engine = BatchEvaluator(
-        multiplier4, cache=cache, mode="serial", sim_backend="bitplane"
+    compiled_engine = BatchEvaluator(
+        multiplier4, cache=cache, mode="serial", sim_backend="compiled"
     )
     before = cache.stats()
-    packed_reports = packed_engine.evaluate_errors(circuits)
+    compiled_reports = compiled_engine.evaluate_errors(circuits)
     after = cache.stats()
 
-    # Identical cache keys: the packed engine is served entirely from the
+    # Identical cache keys: the compiled engine is served entirely from the
     # bool engine's entries without re-simulating anything.
     assert after.hits - before.hits == len(circuits)
     assert after.misses == before.misses
-    for bool_report, packed_report in zip(bool_reports, packed_reports):
-        assert bool_report.metrics == packed_report.metrics
+    for bool_report, compiled_report in zip(bool_reports, compiled_reports):
+        assert bool_report.metrics == compiled_report.metrics
 
-    # And uncached packed / compiled engines recompute the exact same
-    # metrics (the compiled engine exercises the plane-level fast path).
-    for backend in ("bitplane", "compiled"):
-        fresh = BatchEvaluator(
-            multiplier4, cache=EvalCache(), mode="serial", sim_backend=backend
-        ).evaluate_errors(circuits)
-        for bool_report, fresh_report in zip(bool_reports, fresh):
-            assert bool_report.metrics == fresh_report.metrics
+    # And an uncached compiled engine recomputes the exact same metrics
+    # through the plane-level fast path.
+    fresh = BatchEvaluator(
+        multiplier4, cache=EvalCache(), mode="serial", sim_backend="compiled"
+    ).evaluate_errors(circuits)
+    for bool_report, fresh_report in zip(bool_reports, fresh):
+        assert bool_report.metrics == fresh_report.metrics
 
 
 def test_engine_inherits_backend_from_evaluator(multiplier4):
-    evaluator = ErrorEvaluator(multiplier4, sim_backend="bitplane")
+    evaluator = ErrorEvaluator(multiplier4, sim_backend="compiled")
     engine = BatchEvaluator(error_evaluator=evaluator)
-    assert engine.sim_backend == "bitplane"
+    assert engine.sim_backend == "compiled"
+    assert BatchEvaluator(error_evaluator=evaluator, sim_backend="compiled").sim_backend == (
+        "compiled"
+    )
+    with pytest.raises(ValueError, match="conflicting sim_backend"):
+        BatchEvaluator(error_evaluator=evaluator, sim_backend="bool")
 
 
 def test_degenerate_chunk_shares_cache_with_one_shot(multiplier4):
@@ -570,14 +541,28 @@ class TestCompiledProgram:
                     simulate_bits_compiled(netlist, bits), simulate_bits(netlist, bits)
                 )
 
-    def test_planes_entry_point_matches_bitplane(self, multiplier4, rng):
-        from repro.circuits import simulate_planes_compiled
+    @pytest.mark.parametrize("value, enabled", [("", True), ("0", True), ("1", False)])
+    def test_no_native_flag_parses_like_bench_flags(self, value, enabled, monkeypatch):
+        """``REPRO_NO_NATIVE`` reads ``""`` and ``"0"`` as off, like
+        ``REPRO_BENCH_QUICK``; only other values disable the native executor."""
+        from repro.circuits import _native
 
+        builds = []
+        monkeypatch.setenv(_native.DISABLE_ENV, value)
+        monkeypatch.setattr(_native, "_load_attempted", False)
+        monkeypatch.setattr(_native, "_lib", None)
+        monkeypatch.setattr(_native, "_build_library", lambda: builds.append(value))
+        assert _native._load() is None  # the stub build yields no library
+        assert bool(builds) == enabled
+
+    def test_planes_entry_point_matches_bool(self, multiplier4, rng):
         bits = random_input_bits(multiplier4, 320, rng)
-        planes = pack_bits(bits.T)
-        expected = simulate_planes(multiplier4, planes)
-        got = simulate_planes_compiled(multiplier4, planes)
+        got = simulate_planes_compiled(multiplier4, pack_bits(bits.T))
         assert got.dtype == np.uint64
-        assert np.array_equal(
-            unpack_bits(got, 320), unpack_bits(expected, 320)
-        )
+        assert np.array_equal(unpack_bits(got, 320).T, simulate_bits(multiplier4, bits))
+
+    def test_shape_validation(self, multiplier4):
+        with pytest.raises(ValueError):
+            simulate_planes_compiled(multiplier4, np.zeros((3, 2), dtype=np.uint64))
+        with pytest.raises(ValueError):
+            simulate_bits_compiled(multiplier4, np.zeros((4, 3), dtype=bool))
