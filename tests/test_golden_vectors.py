@@ -19,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.circuits import compiled as compiled_module
 from repro.circuits import exhaustive_simulate
 from repro.error import compute_error_metrics
 from repro.generators import array_multiplier, perturb_netlist, ripple_carry_adder
@@ -60,6 +61,16 @@ def test_exhaustive_outputs_match_frozen_fixture(key, backend, fixture_data):
         "if this is an intentional semantic change, regenerate the fixture "
         "(see the module docstring)"
     )
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_CIRCUITS))
+def test_compiled_numpy_executor_matches_frozen_fixture(key, fixture_data, monkeypatch):
+    """The compiled backend's NumPy executor, forced even where the native
+    tape interpreter is available, reproduces the frozen digests."""
+    monkeypatch.setattr(compiled_module, "run_tape_native", lambda *args: False)
+    expected = fixture_data[key]
+    outputs = exhaustive_simulate(GOLDEN_CIRCUITS[key](), backend="compiled")
+    assert digest_of(outputs) == expected["digest_blake2b"]
 
 
 @pytest.mark.parametrize(

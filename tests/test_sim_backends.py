@@ -167,11 +167,8 @@ class TestPacking:
 # --------------------------------------------------------------------- #
 # Per-gate lowering parity
 # --------------------------------------------------------------------- #
-@pytest.mark.parametrize("gate_type", list(GateType))
-def test_single_gate_lowering_matches_bool_gate(gate_type, rng):
-    """A one-gate netlist per gate type: the compiled lowering of each gate
-    agrees with the boolean truth-table source in ``gates.py``."""
-    netlist = Netlist(
+def single_gate_netlist(gate_type: GateType) -> Netlist:
+    return Netlist(
         name=f"single_{gate_type.name.lower()}",
         kind="test",
         input_words={"a": (0,), "b": (1,)},
@@ -183,6 +180,23 @@ def test_single_gate_lowering_matches_bool_gate(gate_type, rng):
                   else Gate(gate_type, 0, 1))
         ],
     )
+
+
+@pytest.mark.parametrize("gate_type", list(GateType))
+def test_single_gate_lowering_matches_bool_gate(gate_type, rng):
+    """A one-gate netlist per gate type: the compiled lowering of each gate
+    agrees with the boolean truth-table source in ``gates.py``."""
+    netlist = single_gate_netlist(gate_type)
+    for patterns in (1, 65, 200):
+        assert_backends_agree(netlist, random_input_bits(netlist, patterns, rng))
+
+
+@pytest.mark.parametrize("gate_type", list(GateType))
+def test_single_gate_numpy_executor_matches_bool_gate(gate_type, rng, monkeypatch):
+    """Pin the NumPy executor's per-opcode kernels gate by gate, even when
+    the native tape interpreter is available and would otherwise run."""
+    monkeypatch.setattr(compiled_module, "run_tape_native", lambda *args: False)
+    netlist = single_gate_netlist(gate_type)
     for patterns in (1, 65, 200):
         assert_backends_agree(netlist, random_input_bits(netlist, patterns, rng))
 
