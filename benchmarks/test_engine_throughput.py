@@ -14,16 +14,16 @@ shared runners.
 
 from __future__ import annotations
 
-import os
 import time
 
 import pytest
 
 from repro.engine import BatchEvaluator, EvalCache
+from repro.envflags import env_flag
 from repro.error import ErrorEvaluator, evaluate_error
 from repro.generators import build_multiplier_library
 
-QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
+QUICK = env_flag("REPRO_BENCH_QUICK")
 LIBRARY_SIZE = 16 if QUICK else 50
 BIT_WIDTH = 4 if QUICK else 8
 

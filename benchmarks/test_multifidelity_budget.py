@@ -25,7 +25,6 @@ budget; both gates are asserted in both modes.
 from __future__ import annotations
 
 import json
-import os
 import time
 from pathlib import Path
 
@@ -43,11 +42,12 @@ from repro.autoax import (
 from repro.autoax.search import SEARCH_STRATEGIES
 from repro.core.pareto import hypervolume_2d
 from repro.engine import BatchEvaluator, EvalCache
+from repro.envflags import env_flag
 from repro.generators import build_adder_library, build_multiplier_library
 
 pytestmark = pytest.mark.multifidelity
 
-QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
+QUICK = env_flag("REPRO_BENCH_QUICK")
 ITERATIONS = 300 if QUICK else 1500
 POPULATION = 32
 ARCHIVE_LIMIT = 16

@@ -23,7 +23,6 @@ the wall-clock floor, which is meaningless on loaded shared runners.
 
 from __future__ import annotations
 
-import os
 import time
 
 import numpy as np
@@ -41,15 +40,18 @@ from repro.autoax import (
 from repro.autoax.search import SEARCH_STRATEGIES
 from repro.core.pareto import hypervolume_2d
 from repro.engine import BatchEvaluator, EvalCache
+from repro.envflags import env_flag
 from repro.generators import build_adder_library, build_multiplier_library
 
 pytestmark = pytest.mark.search
 
-QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
+QUICK = env_flag("REPRO_BENCH_QUICK")
 ITERATIONS = 300 if QUICK else 1500
 POPULATION = 32 if QUICK else 48
 ARCHIVE_LIMIT = 16
 SEED = 23
+#: Interleaved (serial, cold engine) timing pairs of the amortisation test.
+PAIRS = 3 if QUICK else 5
 
 
 @pytest.fixture(scope="module")
@@ -154,27 +156,35 @@ def test_generation_batched_exact_evaluation_amortises(benchmark, workload):
     accelerator, images = workload.accelerator, workload.images
     rng = np.random.default_rng(5)
     population = [accelerator.random_configuration(rng) for _ in range(24 if QUICK else 48)]
-    engine = BatchEvaluator(cache=EvalCache(), mode="serial")
 
     def run():
-        timings = {}
-        start = time.perf_counter()
-        serial = [
-            (accelerator.quality(images, config), accelerator.hw_cost(config))
-            for config in population
-        ]
-        timings["serial_s"] = time.perf_counter() - start
+        # Interleaved (serial, cold) pairs, each cold pass on a fresh cache,
+        # compared best-of-N: one slow sample from a busy host cannot decide
+        # the comparison, and both sides see the same warm-up.
+        serial_runs, cold_runs = [], []
+        for _ in range(PAIRS):
+            start = time.perf_counter()
+            serial = [
+                (accelerator.quality(images, config), accelerator.hw_cost(config))
+                for config in population
+            ]
+            serial_runs.append(time.perf_counter() - start)
 
-        start = time.perf_counter()
-        cold = engine.evaluate_configurations(accelerator, images, population)
-        timings["engine_cold_s"] = time.perf_counter() - start
+            engine = BatchEvaluator(cache=EvalCache(), mode="serial")
+            start = time.perf_counter()
+            cold = engine.evaluate_configurations(accelerator, images, population)
+            cold_runs.append(time.perf_counter() - start)
 
         start = time.perf_counter()
         warm = engine.evaluate_configurations(accelerator, images, population)
-        timings["engine_warm_s"] = time.perf_counter() - start
-        return timings, serial, cold, warm
+        timings = {
+            "serial_s": min(serial_runs),
+            "engine_cold_s": min(cold_runs),
+            "engine_warm_s": time.perf_counter() - start,
+        }
+        return timings, serial, cold, warm, engine
 
-    timings, serial, cold, warm = benchmark.pedantic(run, rounds=1, iterations=1)
+    timings, serial, cold, warm, engine = benchmark.pedantic(run, rounds=1, iterations=1)
 
     # Bit-identical to the per-configuration path, and stable across repeats.
     for (quality, cost), payload in zip(serial, cold):
@@ -183,7 +193,7 @@ def test_generation_batched_exact_evaluation_amortises(benchmark, workload):
     assert warm == cold
 
     stats = engine.stats()
-    print("\n=== Generation-batched exact evaluation ===")
+    print(f"\n=== Generation-batched exact evaluation (best of {PAIRS} pairs) ===")
     print(f"{'serial loop':<24}{timings['serial_s'] * 1000:>10.1f} ms")
     print(f"{'engine cold (batched)':<24}{timings['engine_cold_s'] * 1000:>10.1f} ms")
     print(f"{'engine warm (cached)':<24}{timings['engine_warm_s'] * 1000:>10.1f} ms")

@@ -24,13 +24,13 @@ load; a genuine regression fails both.
 from __future__ import annotations
 
 import json
-import os
 import time
 from pathlib import Path
 
+from repro.envflags import env_flag
 from repro.service import JobClient, JobRegistry, Worker
 
-QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
+QUICK = env_flag("REPRO_BENCH_QUICK")
 
 #: Enforced floor on cold/warm wall-clock (measured margin: quick ~3.3-4.4x,
 #: full ~3.8-4.2x on an idle machine).

@@ -27,7 +27,6 @@ machines).
 from __future__ import annotations
 
 import json
-import os
 import time
 from pathlib import Path
 
@@ -45,9 +44,10 @@ from repro.circuits import (
     unpack_bits,
 )
 from repro.circuits.simulate import expand_operand_bits
+from repro.envflags import env_flag
 from repro.generators import array_multiplier
 
-QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
+QUICK = env_flag("REPRO_BENCH_QUICK")
 NUM_SAMPLES = 4096 if QUICK else 65536
 WIDTHS = (8,) if QUICK else (8, 12, 16)
 

@@ -35,7 +35,6 @@ cache-accounting properties only, so it is stable on loaded machines.
 from __future__ import annotations
 
 import json
-import os
 import time
 from pathlib import Path
 
@@ -44,10 +43,11 @@ import pytest
 from repro.api import ExplorationSession
 from repro.autoax import SEARCH_STRATEGIES, AutoAxConfig, components_from_library
 from repro.engine import EvalCache, accelerator_token
+from repro.envflags import env_flag
 from repro.generators import build_adder_library, build_multiplier_library
 from repro.workloads import WORKLOADS, build_workload
 
-QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
+QUICK = env_flag("REPRO_BENCH_QUICK")
 
 BENCH_JSON_PATH = Path(__file__).resolve().parents[1] / "BENCH_workload_matrix.json"
 

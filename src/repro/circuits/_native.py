@@ -31,16 +31,17 @@ from typing import Optional
 
 import numpy as np
 
+from ..envflags import env_flag
+
 __all__ = ["TILE", "native_available", "run_tape_native"]
 
 #: Planes (uint64 lanes) per cache tile: 64 planes = 4096 patterns per pass,
 #: 512 bytes per slot row, so even multi-thousand-slot tapes stay L2-resident.
 TILE = 64
 
-#: Environment variable that disables the native executor when set to any
-#: value other than ``""`` or ``"0"`` (used by tests to pin the NumPy
-#: fallback, and as an escape hatch on machines where the cached library
-#: misbehaves).
+#: Environment flag (see :func:`repro.envflags.env_flag`) that disables the
+#: native executor (used by tests to pin the NumPy fallback, and as an
+#: escape hatch on machines where the cached library misbehaves).
 DISABLE_ENV = "REPRO_NO_NATIVE"
 
 _C_SOURCE = """
@@ -142,7 +143,7 @@ def _load() -> Optional[ctypes.CDLL]:
     if _load_attempted:
         return _lib
     _load_attempted = True
-    if os.environ.get(DISABLE_ENV, "") not in ("", "0"):
+    if env_flag(DISABLE_ENV):
         return None
     library_path = _build_library()
     if library_path is None:

@@ -52,47 +52,63 @@ class DecisionTreeRegressor(Regressor):
 
     # ------------------------------------------------------------------ #
     def _best_split(self, X: np.ndarray, y: np.ndarray, feature_indices: np.ndarray):
-        """Best (feature, threshold) by weighted-variance reduction, or None."""
+        """Best (feature, threshold) by weighted-variance reduction, or None.
+
+        Every split position of every candidate feature is scored in one
+        NumPy pass: a stable sort of each candidate column, column-wise
+        prefix sums (so each position costs O(1)), and a (splits x features)
+        score matrix in which positions between equal x values score
+        ``+inf``.  The winner is the first minimum in feature-major order --
+        features in ``feature_indices`` order, positions left to right --
+        and it must beat the parent's score by more than ``1e-12``.
+        """
         n_samples = X.shape[0]
-        parent_score = float(np.sum((y - y.mean()) ** 2))
-        best = None
-        best_score = parent_score - 1e-12
+        # Split position s puts sorted rows [0, s) left and [s, n) right.
+        first = max(self.min_samples_leaf, 1)
+        last = min(n_samples - self.min_samples_leaf, n_samples - 1)
+        if first > last:
+            return None
+        # Nodes are small, so the per-call overhead of NumPy's Python-level
+        # wrappers dominates: reductions go straight to the ufuncs
+        # (``add.reduce(y) / n`` is exactly ``y.mean()``).
+        parent_score = float(np.add.reduce((y - np.add.reduce(y) / n_samples) ** 2))
 
-        for feature in feature_indices:
-            order = np.argsort(X[:, feature], kind="mergesort")
-            x_sorted = X[order, feature]
-            y_sorted = y[order]
+        columns = X[:, feature_indices]
+        order = columns.argsort(axis=0, kind="mergesort")
+        x_sorted = columns[order, np.arange(columns.shape[1])]
+        y_sorted = y[order]
+        prefix = y_sorted.cumsum(axis=0)
+        prefix_sq = (y_sorted ** 2).cumsum(axis=0)
 
-            # Prefix sums let every split position be scored in O(1).
-            prefix = np.cumsum(y_sorted)
-            prefix_sq = np.cumsum(y_sorted ** 2)
-            total = prefix[-1]
-            total_sq = prefix_sq[-1]
+        left_sum = prefix[first - 1:last]
+        left_sq = prefix_sq[first - 1:last]
+        right_sum = prefix[-1] - left_sum
+        right_sq = prefix_sq[-1] - left_sq
+        left_count = np.arange(first, last + 1, dtype=np.float64)[:, None]
+        # float_power squares through pow(), as ``**`` on a float64 scalar
+        # does; array ``**`` squares as x*x, which rounds differently on a
+        # few values and would flip near-tied splits.
+        scores = (left_sq - np.float_power(left_sum, 2) / left_count) + (
+            right_sq - np.float_power(right_sum, 2) / (n_samples - left_count)
+        )
+        scores[x_sorted[first - 1:last] == x_sorted[first:last + 1]] = np.inf
 
-            for split in range(self.min_samples_leaf, n_samples - self.min_samples_leaf + 1):
-                if split < 1 or split >= n_samples:
-                    continue
-                if x_sorted[split - 1] == x_sorted[split]:
-                    continue
-                left_sum = prefix[split - 1]
-                left_sq = prefix_sq[split - 1]
-                right_sum = total - left_sum
-                right_sq = total_sq - left_sq
-                left_score = left_sq - left_sum ** 2 / split
-                right_score = right_sq - right_sum ** 2 / (n_samples - split)
-                score = left_score + right_score
-                if score < best_score:
-                    best_score = score
-                    threshold = 0.5 * (x_sorted[split - 1] + x_sorted[split])
-                    best = (int(feature), float(threshold))
-        return best
+        column, row = divmod(int(scores.T.argmin()), scores.shape[0])
+        if not scores[row, column] < parent_score - 1e-12:
+            return None
+        split = first + row
+        threshold = 0.5 * (x_sorted[split - 1, column] + x_sorted[split, column])
+        return int(feature_indices[column]), float(threshold)
 
-    def _grow(self, X: np.ndarray, y: np.ndarray, depth: int, rng: np.random.Generator) -> _Node:
-        node = _Node(value=float(y.mean()))
+    def _grow(
+        self, X: np.ndarray, y: np.ndarray, depth: int, rng: Optional[np.random.Generator]
+    ) -> _Node:
+        n_samples = X.shape[0]
+        node = _Node(value=float(np.add.reduce(y) / n_samples))
         if (
             depth >= self.max_depth
-            or X.shape[0] < self.min_samples_split
-            or np.all(y == y[0])
+            or n_samples < self.min_samples_split
+            or (y == y[0]).all()
         ):
             return node
 
@@ -108,16 +124,20 @@ class DecisionTreeRegressor(Regressor):
             return node
         feature, threshold = split
         mask = X[:, feature] <= threshold
-        if mask.sum() < self.min_samples_leaf or (~mask).sum() < self.min_samples_leaf:
+        n_left = np.count_nonzero(mask)
+        if n_left < self.min_samples_leaf or n_samples - n_left < self.min_samples_leaf:
             return node
+        right = ~mask
         node.feature = feature
         node.threshold = threshold
         node.left = self._grow(X[mask], y[mask], depth + 1, rng)
-        node.right = self._grow(X[~mask], y[~mask], depth + 1, rng)
+        node.right = self._grow(X[right], y[right], depth + 1, rng)
         return node
 
     def _fit(self, X: np.ndarray, y: np.ndarray) -> None:
-        rng = np.random.default_rng(self.random_state)
+        # Only feature subsampling draws from the generator; boosted trees
+        # (the many-trees case) skip building one.
+        rng = None if self.max_features is None else np.random.default_rng(self.random_state)
         self.tree_ = self._grow(X, y, depth=0, rng=rng)
 
     def _predict_one(self, x: np.ndarray) -> float:

@@ -1,5 +1,4 @@
-"""Regression tests for the exploration-time accounting and the
-``reSynthesis_time_s`` -> ``resynthesis_time_s`` deprecation shim."""
+"""Regression tests for the exploration-time accounting."""
 
 from __future__ import annotations
 
@@ -46,24 +45,6 @@ class TestExplorationCost:
             warnings.simplefilter("error")
             cost = _cost()
             assert cost.resynthesis_time_s == 50.0
-
-    def test_legacy_keyword_accepted_with_deprecation_warning(self):
-        with pytest.deprecated_call():
-            cost = ExplorationCost(
-                library_name="lib",
-                num_circuits=1,
-                exhaustive_time_s=10.0,
-                training_time_s=1.0,
-                reSynthesis_time_s=2.0,
-                model_time_s=0.5,
-            )
-        assert cost.resynthesis_time_s == 2.0
-        assert cost.approxfpgas_time_s == pytest.approx(3.5)
-
-    def test_legacy_attribute_readable_with_deprecation_warning(self):
-        cost = _cost()
-        with pytest.deprecated_call():
-            assert cost.reSynthesis_time_s == 50.0
 
     def test_missing_resynthesis_raises(self):
         with pytest.raises(TypeError, match="resynthesis_time_s"):

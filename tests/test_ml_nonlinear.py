@@ -15,6 +15,7 @@ from repro.ml import (
     RandomForestRegressor,
     ScaledRegressor,
     SymbolicRegressor,
+    build_model,
     r2_score,
     rbf_kernel,
 )
@@ -101,6 +102,123 @@ def test_decision_tree_respects_max_depth():
     deep = DecisionTreeRegressor(max_depth=8).fit(X, y)
     assert shallow.depth() <= 2
     assert r2_score(y, deep.predict(X)) > r2_score(y, shallow.predict(X))
+
+
+def _scalar_best_split(self, X, y, feature_indices):
+    """The per-position scalar split search the vectorised one replaced.
+
+    Kept as the oracle of the differential tests below: it scans features
+    in ``feature_indices`` order and split positions left to right, keeping
+    a strictly better score, and squares float64 *scalars* with ``**``.
+    """
+    n_samples = X.shape[0]
+    parent_score = float(np.sum((y - y.mean()) ** 2))
+    best = None
+    best_score = parent_score - 1e-12
+    for feature in feature_indices:
+        order = np.argsort(X[:, feature], kind="mergesort")
+        x_sorted = X[order, feature]
+        y_sorted = y[order]
+        prefix = np.cumsum(y_sorted)
+        prefix_sq = np.cumsum(y_sorted ** 2)
+        total = prefix[-1]
+        total_sq = prefix_sq[-1]
+        for split in range(self.min_samples_leaf, n_samples - self.min_samples_leaf + 1):
+            if split < 1 or split >= n_samples:
+                continue
+            if x_sorted[split - 1] == x_sorted[split]:
+                continue
+            left_sum = prefix[split - 1]
+            left_sq = prefix_sq[split - 1]
+            right_sum = total - left_sum
+            right_sq = total_sq - left_sq
+            left_score = left_sq - left_sum ** 2 / split
+            right_score = right_sq - right_sum ** 2 / (n_samples - split)
+            score = left_score + right_score
+            if score < best_score:
+                best_score = score
+                threshold = 0.5 * (x_sorted[split - 1] + x_sorted[split])
+                best = (int(feature), float(threshold))
+    return best
+
+
+def _random_node(rng, case):
+    """One seeded node: continuous, integer-valued or duplicated columns."""
+    n = int(rng.integers(2, 48))
+    n_features = int(rng.integers(1, 9))
+    if case == 0:
+        X = rng.normal(size=(n, n_features)) * 10.0 ** rng.integers(-2, 4)
+    elif case == 1:
+        X = rng.integers(0, 5, size=(n, n_features)).astype(float)
+    else:
+        X = rng.integers(0, 3, size=(n, n_features)).astype(float)
+        X[:, rng.integers(0, n_features)] = X[:, 0]
+    if rng.random() < 0.5:
+        y = rng.normal(size=n) * 10.0 ** rng.integers(-3, 5)
+    else:
+        y = rng.integers(0, 4, size=n).astype(float) * 37.0
+    return X, y
+
+
+def test_vectorised_split_search_matches_scalar_oracle():
+    rng = np.random.default_rng(2024)
+    found = 0
+    for index in range(3000):
+        X, y = _random_node(rng, index % 3)
+        n_features = X.shape[1]
+        feature_indices = rng.permutation(n_features)[: int(rng.integers(1, n_features + 1))]
+        tree = DecisionTreeRegressor(min_samples_leaf=int(rng.integers(1, 4)))
+        expected = _scalar_best_split(tree, X, y, feature_indices)
+        assert tree._best_split(X, y, feature_indices) == expected
+        found += expected is not None
+    assert found > 1000  # most nodes do have a split to agree on
+
+
+def test_split_search_on_smallest_nodes():
+    tree = DecisionTreeRegressor(min_samples_leaf=1)
+    X = np.array([[0.0, 1.0], [1.0, 1.0]])
+    assert tree._best_split(X, np.array([0.0, 1.0]), np.array([1, 0])) == (0, 0.5)
+    assert tree._best_split(X, np.array([2.0, 2.0]), np.array([0, 1])) is None
+    # Two leaves of at least 2 samples cannot come out of 3.
+    wide = DecisionTreeRegressor(min_samples_leaf=2)
+    assert wide._best_split(X[:1].repeat(3, axis=0), np.arange(3.0), np.array([0])) is None
+    # Both halves keep the parent's mean: the score only matches the parent's
+    # up to rounding, which the 1e-12 margin must not take for a gain.
+    halves = np.array([[0.0], [0.0], [1.0], [1.0]])
+    assert tree._best_split(halves, np.array([0.1, 0.7, 0.7, 0.1]), np.array([0])) is None
+
+
+def test_split_search_rounds_near_ties_like_scalar_oracle():
+    """Both features separate the same rows, so the two scores tie in exact
+    arithmetic and the pick rests on how the squared sums round: squaring
+    the sums as ``x*x`` instead of through ``pow()`` picks feature 1 here."""
+    X = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 0.0]])
+    y = np.array([704.0, 700.4, 700.4])
+    tree = DecisionTreeRegressor(min_samples_leaf=1)
+    for feature_indices in (np.array([0, 1]), np.array([1, 0])):
+        expected = _scalar_best_split(tree, X, y, feature_indices)
+        assert tree._best_split(X, y, feature_indices) == expected
+
+
+def _zoo_feature_matrix():
+    """A fixed matrix shaped like the flow's: counts, a duplicate, real ratios."""
+    rng = np.random.default_rng(0)
+    n = 90
+    counts = rng.integers(0, 400, size=(n, 3)).astype(float)
+    ratios = rng.uniform(0.0, 1.0, size=(n, 2)).round(3)
+    X = np.column_stack([counts, counts[:, 0], ratios])
+    y = 3.0 * counts[:, 0] + 50.0 * ratios[:, 0] ** 2 + rng.normal(size=n)
+    return X, y
+
+
+@pytest.mark.parametrize("model_id", ["ML5", "ML6", "ML7", "ML18"])
+def test_tree_models_bitwise_equal_to_scalar_split_search(model_id, monkeypatch):
+    X, y = _zoo_feature_matrix()
+    names = [f"f{i}" for i in range(X.shape[1])]
+    vectorised = build_model(model_id, names, random_state=3).fit(X, y).predict(X)
+    monkeypatch.setattr(DecisionTreeRegressor, "_best_split", _scalar_best_split)
+    scalar = build_model(model_id, names, random_state=3).fit(X, y).predict(X)
+    assert np.array_equal(vectorised, scalar)
 
 
 def test_random_forest_beats_constant_baseline():

@@ -1,9 +1,12 @@
 """Unit tests for the Netlist IR and the NetlistBuilder."""
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.circuits import Gate, GateType, Netlist, NetlistBuilder, NetlistError
+from repro.generators import PerturbationConfig, array_multiplier, perturb_netlist
 
 
 def build_tiny_xor():
@@ -156,3 +159,120 @@ def test_gate_of_node_and_is_input(multiplier4):
 
 def test_live_gate_count_not_larger_than_total(multiplier8):
     assert 0 < multiplier8.live_gate_count() <= multiplier8.num_gates
+
+
+# --------------------------------------------------------------------- #
+# Cached structural analyses
+# --------------------------------------------------------------------- #
+ANALYSES = ("transitive_fanin", "fanout_counts", "node_depths")
+
+
+def reference_analyses(netlist, roots=None):
+    """Uncached reference: (num_inputs, fan-in mask, fanout counts, depths)."""
+    num_inputs = sum(len(bits) for bits in netlist.input_words.values())
+    num_nodes = num_inputs + len(netlist.gates)
+    mask = np.zeros(num_nodes, dtype=bool)
+    stack = list(netlist.output_bits if roots is None else roots)
+    while stack:
+        node = stack.pop()
+        if not mask[node]:
+            mask[node] = True
+            if node >= num_inputs:
+                stack.extend(netlist.gates[node - num_inputs].operands())
+    fanouts = np.zeros(num_nodes, dtype=np.int64)
+    depths = np.zeros(num_nodes, dtype=np.int64)
+    for index, gate in enumerate(netlist.gates):
+        for operand in gate.operands():
+            fanouts[operand] += 1
+        if gate.operands():
+            depths[num_inputs + index] = 1 + max(depths[o] for o in gate.operands())
+    for bit in netlist.output_bits:
+        fanouts[bit] += 1
+    return num_inputs, mask, fanouts, depths
+
+
+def assert_analyses_match_reference(netlist):
+    num_inputs, mask, fanouts, depths = reference_analyses(netlist)
+    assert netlist.num_inputs == num_inputs
+    assert np.array_equal(netlist.transitive_fanin(), mask)
+    assert np.array_equal(netlist.fanout_counts(), fanouts)
+    assert np.array_equal(netlist.node_depths(), depths)
+
+
+@pytest.fixture
+def perturbed_multipliers():
+    base = array_multiplier(4)
+    config = PerturbationConfig(num_mutations=6, locality=16)
+    return [perturb_netlist(base, seed=seed, config=config) for seed in range(6)]
+
+
+def test_analyses_match_reference(perturbed_multipliers):
+    for netlist in [build_tiny_xor(), array_multiplier(4)] + perturbed_multipliers:
+        assert_analyses_match_reference(netlist)
+
+
+@pytest.mark.parametrize("analysis", ANALYSES)
+def test_default_analyses_cached_read_only(analysis):
+    netlist = array_multiplier(4)
+    first = getattr(netlist, analysis)()
+    assert getattr(netlist, analysis)() is first
+    assert not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[0] = first[1]
+
+
+def test_explicit_roots_are_correct_and_not_cached(perturbed_multipliers):
+    for netlist in perturbed_multipliers:
+        live = netlist.transitive_fanin()
+        roots = [netlist.output_bits[0], netlist.num_inputs + netlist.num_gates // 2]
+        first = netlist.transitive_fanin(roots=roots)
+        second = netlist.transitive_fanin(roots=roots)
+        assert np.array_equal(first, reference_analyses(netlist, roots)[1])
+        assert first is not second and np.array_equal(first, second)
+        assert first.flags.writeable
+        first[:] = False  # a caller's own array; the cached mask is untouched
+        assert netlist.transitive_fanin() is live
+        assert np.array_equal(live, reference_analyses(netlist)[1])
+        rooted_at_outputs = netlist.transitive_fanin(roots=netlist.output_bits)
+        assert rooted_at_outputs is not live and np.array_equal(rooted_at_outputs, live)
+
+
+def test_copies_and_pruned_netlists_analyse_afresh(multiplier4):
+    for analysis in ANALYSES:
+        getattr(multiplier4, analysis)()
+    duplicate = multiplier4.copy(name="duplicate")
+    for analysis in ANALYSES:
+        assert getattr(duplicate, analysis)() is not getattr(multiplier4, analysis)()
+    assert_analyses_match_reference(duplicate)
+
+    # Edited before its first analysis, as a fresh copy may be: the caches
+    # see the edit (here, the MSB output rewired to a primary input).
+    mutated = multiplier4.copy()
+    mutated.output_bits = mutated.output_bits[:-1] + (0,)
+    mutated.gates[0] = Gate(GateType.CONST1)
+    assert_analyses_match_reference(mutated)
+    assert not np.array_equal(mutated.transitive_fanin(), multiplier4.transitive_fanin())
+
+    builder = NetlistBuilder("dead", kind="adder")
+    a = builder.add_input_word("a", 2)
+    b = builder.add_input_word("b", 2)
+    live = builder.xor(a[0], b[0])
+    builder.and_(a[1], b[1])  # dead gate
+    netlist = builder.finish([live])
+    netlist.transitive_fanin()
+    pruned = netlist.pruned()
+    assert_analyses_match_reference(pruned)
+    assert pruned.transitive_fanin()[pruned.num_inputs:].all()
+
+
+def test_pickle_round_trip_gives_equal_analyses(perturbed_multipliers):
+    for netlist in perturbed_multipliers:
+        analysed = [getattr(netlist, analysis)() for analysis in ANALYSES]
+        restored = pickle.loads(pickle.dumps(netlist))
+        assert restored == netlist
+        assert restored.fingerprint() == netlist.fingerprint()
+        assert restored.num_inputs == netlist.num_inputs
+        for analysis, expected in zip(ANALYSES, analysed):
+            value = getattr(restored, analysis)()
+            assert np.array_equal(value, expected)
+            assert not value.flags.writeable
