@@ -51,7 +51,7 @@ POPULATION = 32 if QUICK else 48
 ARCHIVE_LIMIT = 16
 SEED = 23
 #: Interleaved (serial, cold engine) timing pairs of the amortisation test.
-PAIRS = 3 if QUICK else 5
+PAIRS = 3 if QUICK else 15
 
 
 @pytest.fixture(scope="module")
@@ -157,23 +157,36 @@ def test_generation_batched_exact_evaluation_amortises(benchmark, workload):
     rng = np.random.default_rng(5)
     population = [accelerator.random_configuration(rng) for _ in range(24 if QUICK else 48)]
 
+    serial_runs, cold_runs = [], []
+
+    def serial_pass():
+        start = time.perf_counter()
+        serial = [
+            (accelerator.quality(images, config), accelerator.hw_cost(config))
+            for config in population
+        ]
+        serial_runs.append(time.perf_counter() - start)
+        return serial
+
+    def cold_pass():
+        engine = BatchEvaluator(cache=EvalCache(), mode="serial")
+        start = time.perf_counter()
+        cold = engine.evaluate_configurations(accelerator, images, population)
+        cold_runs.append(time.perf_counter() - start)
+        return engine, cold
+
     def run():
         # Interleaved (serial, cold) pairs, each cold pass on a fresh cache,
         # compared best-of-N: one slow sample from a busy host cannot decide
-        # the comparison, and both sides see the same warm-up.
-        serial_runs, cold_runs = [], []
-        for _ in range(PAIRS):
-            start = time.perf_counter()
-            serial = [
-                (accelerator.quality(images, config), accelerator.hw_cost(config))
-                for config in population
-            ]
-            serial_runs.append(time.perf_counter() - start)
-
-            engine = BatchEvaluator(cache=EvalCache(), mode="serial")
-            start = time.perf_counter()
-            cold = engine.evaluate_configurations(accelerator, images, population)
-            cold_runs.append(time.perf_counter() - start)
+        # the comparison, and both sides see the same warm-up.  The pairs
+        # alternate which side runs first.
+        for pair in range(PAIRS):
+            if pair % 2:
+                engine, cold = cold_pass()
+                serial = serial_pass()
+            else:
+                serial = serial_pass()
+                engine, cold = cold_pass()
 
         start = time.perf_counter()
         warm = engine.evaluate_configurations(accelerator, images, population)

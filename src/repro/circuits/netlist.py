@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import hashlib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -23,13 +23,6 @@ from .gates import GATE_ARITY, GateType
 #: Version tag mixed into every structural fingerprint so cached evaluation
 #: results are invalidated if the hashing scheme ever changes.
 _FINGERPRINT_VERSION = b"nl-fp-v1"
-
-#: Instance-``__dict__`` keys of the cached structural analyses.  They are
-#: left out of pickles (pool dispatch) because NumPy unpickles arrays as
-#: writeable; the receiving side recomputes them read-only on first use.
-#: Every analysed netlist of a library keeps its arrays alive, so the
-#: integer ones are int32 (counts and depths are far below 2**31).
-_ANALYSIS_KEYS = ("_live_mask", "_fanout_counts", "_node_depths")
 
 
 @dataclass(frozen=True)
@@ -83,12 +76,11 @@ class Netlist:
         Free-form metadata (generator family, seed, bit-width, ...).
 
     A netlist is immutable once analysed.  The first call of
-    :meth:`fingerprint`, :attr:`num_inputs`, the default-root
-    :meth:`transitive_fanin`, :meth:`fanout_counts` or :meth:`node_depths`
-    caches its result on the instance (the arrays read-only), and nothing
-    ever invalidates those caches.  Every transformation returns a fresh
-    netlist; a fresh copy may be edited in place only before its first
-    analysis.
+    :meth:`fingerprint`, :attr:`num_inputs` or the default-root
+    :meth:`transitive_fanin` caches its result on the instance (the mask
+    read-only), and nothing ever invalidates those caches.  Every
+    transformation returns a fresh netlist; a fresh copy may be edited in
+    place only before its first analysis.
     """
 
     name: str
@@ -172,45 +164,25 @@ class Netlist:
     # ------------------------------------------------------------------ #
     # Graph queries
     # ------------------------------------------------------------------ #
-    def _memo(self, key: str, compute: Callable[[], np.ndarray]) -> np.ndarray:
-        """``compute()`` once per instance, kept read-only in ``__dict__``."""
-        cached = self.__dict__.get(key)
-        if cached is None:
-            cached = compute()
-            cached.flags.writeable = False
-            self.__dict__[key] = cached
-        return cached
-
     def fanout_counts(self) -> np.ndarray:
-        """Number of gate/output references to each node (cached, read-only)."""
-
-        def count() -> np.ndarray:
-            counts = [0] * self.num_nodes
-            for gate in self.gates:
-                for operand in gate.operands():
-                    counts[operand] += 1
-            for bit in self.output_bits:
-                counts[bit] += 1
-            return np.array(counts, dtype=np.int32)
-
-        return self._memo("_fanout_counts", count)
+        """Number of gate/output references to each node."""
+        counts = np.zeros(self.num_nodes, dtype=np.int64)
+        for gate in self.gates:
+            for operand in gate.operands():
+                counts[operand] += 1
+        for bit in self.output_bits:
+            counts[bit] += 1
+        return counts
 
     def node_depths(self) -> np.ndarray:
-        """Logic depth of each node (primary inputs and constants are depth 0).
-
-        Cached and read-only.
-        """
-
-        def levelise() -> np.ndarray:
-            num_inputs = self.num_inputs
-            depths = [0] * self.num_nodes
-            for index, gate in enumerate(self.gates):
-                operands = gate.operands()
-                if operands:
-                    depths[num_inputs + index] = 1 + max(depths[o] for o in operands)
-            return np.array(depths, dtype=np.int32)
-
-        return self._memo("_node_depths", levelise)
+        """Logic depth of each node (primary inputs and constants are depth 0)."""
+        depths = np.zeros(self.num_nodes, dtype=np.int64)
+        for index, gate in enumerate(self.gates):
+            node_id = self.gate_node_id(index)
+            operands = gate.operands()
+            if operands:
+                depths[node_id] = 1 + max(int(depths[o]) for o in operands)
+        return depths
 
     def depth(self) -> int:
         """Logic depth of the deepest output (0 for a wire-only circuit)."""
@@ -223,26 +195,26 @@ class Netlist:
         """Boolean mask of nodes in the transitive fan-in of ``roots``.
 
         Defaults to the output bits, i.e. the *live* part of the circuit;
-        that mask is cached and read-only.  Explicit ``roots`` get a fresh
-        array on every call.
+        that mask is cached on the instance and read-only.  Explicit
+        ``roots`` get a fresh array on every call.
         """
         if roots is None:
-            return self._memo("_live_mask", lambda: self._fanin_mask(self.output_bits))
-        return self._fanin_mask(roots)
-
-    def _fanin_mask(self, roots: Iterable[int]) -> np.ndarray:
-        num_inputs = self.num_inputs
-        gates = self.gates
-        seen = bytearray(self.num_nodes)
-        stack = [int(r) for r in roots]
+            cached = self.__dict__.get("_live_mask")
+            if cached is not None:
+                return cached
+        mask = np.zeros(self.num_nodes, dtype=bool)
+        stack = [int(r) for r in (self.output_bits if roots is None else roots)]
         while stack:
             node = stack.pop()
-            if seen[node]:
+            if mask[node]:
                 continue
-            seen[node] = 1
-            if node >= num_inputs:
-                stack.extend(gates[node - num_inputs].operands())
-        return np.frombuffer(seen, dtype=bool)
+            mask[node] = True
+            if node >= self.num_inputs:
+                stack.extend(self.gates[node - self.num_inputs].operands())
+        if roots is None:
+            mask.flags.writeable = False
+            self.__dict__["_live_mask"] = mask
+        return mask
 
     def live_gate_count(self) -> int:
         """Number of gates reachable from the outputs (dead logic excluded)."""
@@ -290,9 +262,10 @@ class Netlist:
         return value
 
     def __getstate__(self) -> Dict[str, object]:
+        # NumPy unpickles arrays writeable, so the cached live mask stays
+        # behind (pool dispatch); the receiving side recomputes it read-only.
         state = dict(self.__dict__)
-        for key in _ANALYSIS_KEYS:
-            state.pop(key, None)
+        state.pop("_live_mask", None)
         return state
 
     # ------------------------------------------------------------------ #

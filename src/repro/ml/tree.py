@@ -68,10 +68,7 @@ class DecisionTreeRegressor(Regressor):
         last = min(n_samples - self.min_samples_leaf, n_samples - 1)
         if first > last:
             return None
-        # Nodes are small, so the per-call overhead of NumPy's Python-level
-        # wrappers dominates: reductions go straight to the ufuncs
-        # (``add.reduce(y) / n`` is exactly ``y.mean()``).
-        parent_score = float(np.add.reduce((y - np.add.reduce(y) / n_samples) ** 2))
+        parent_score = float(np.sum((y - y.mean()) ** 2))
 
         columns = X[:, feature_indices]
         order = columns.argsort(axis=0, kind="mergesort")
@@ -100,15 +97,12 @@ class DecisionTreeRegressor(Regressor):
         threshold = 0.5 * (x_sorted[split - 1, column] + x_sorted[split, column])
         return int(feature_indices[column]), float(threshold)
 
-    def _grow(
-        self, X: np.ndarray, y: np.ndarray, depth: int, rng: Optional[np.random.Generator]
-    ) -> _Node:
-        n_samples = X.shape[0]
-        node = _Node(value=float(np.add.reduce(y) / n_samples))
+    def _grow(self, X: np.ndarray, y: np.ndarray, depth: int, rng: np.random.Generator) -> _Node:
+        node = _Node(value=float(y.mean()))
         if (
             depth >= self.max_depth
-            or n_samples < self.min_samples_split
-            or (y == y[0]).all()
+            or X.shape[0] < self.min_samples_split
+            or np.all(y == y[0])
         ):
             return node
 
@@ -124,20 +118,16 @@ class DecisionTreeRegressor(Regressor):
             return node
         feature, threshold = split
         mask = X[:, feature] <= threshold
-        n_left = np.count_nonzero(mask)
-        if n_left < self.min_samples_leaf or n_samples - n_left < self.min_samples_leaf:
+        if mask.sum() < self.min_samples_leaf or (~mask).sum() < self.min_samples_leaf:
             return node
-        right = ~mask
         node.feature = feature
         node.threshold = threshold
         node.left = self._grow(X[mask], y[mask], depth + 1, rng)
-        node.right = self._grow(X[right], y[right], depth + 1, rng)
+        node.right = self._grow(X[~mask], y[~mask], depth + 1, rng)
         return node
 
     def _fit(self, X: np.ndarray, y: np.ndarray) -> None:
-        # Only feature subsampling draws from the generator; boosted trees
-        # (the many-trees case) skip building one.
-        rng = None if self.max_features is None else np.random.default_rng(self.random_state)
+        rng = np.random.default_rng(self.random_state)
         self.tree_ = self._grow(X, y, depth=0, rng=rng)
 
     def _predict_one(self, x: np.ndarray) -> float:

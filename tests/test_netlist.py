@@ -162,11 +162,8 @@ def test_live_gate_count_not_larger_than_total(multiplier8):
 
 
 # --------------------------------------------------------------------- #
-# Cached structural analyses
+# Structural analyses and the cached live mask
 # --------------------------------------------------------------------- #
-ANALYSES = ("transitive_fanin", "fanout_counts", "node_depths")
-
-
 def reference_analyses(netlist, roots=None):
     """Uncached reference: (num_inputs, fan-in mask, fanout counts, depths)."""
     num_inputs = sum(len(bits) for bits in netlist.input_words.values())
@@ -211,11 +208,10 @@ def test_analyses_match_reference(perturbed_multipliers):
         assert_analyses_match_reference(netlist)
 
 
-@pytest.mark.parametrize("analysis", ANALYSES)
-def test_default_analyses_cached_read_only(analysis):
+def test_live_mask_cached_read_only():
     netlist = array_multiplier(4)
-    first = getattr(netlist, analysis)()
-    assert getattr(netlist, analysis)() is first
+    first = netlist.transitive_fanin()
+    assert netlist.transitive_fanin() is first
     assert not first.flags.writeable
     with pytest.raises(ValueError):
         first[0] = first[1]
@@ -238,11 +234,9 @@ def test_explicit_roots_are_correct_and_not_cached(perturbed_multipliers):
 
 
 def test_copies_and_pruned_netlists_analyse_afresh(multiplier4):
-    for analysis in ANALYSES:
-        getattr(multiplier4, analysis)()
+    assert_analyses_match_reference(multiplier4)
     duplicate = multiplier4.copy(name="duplicate")
-    for analysis in ANALYSES:
-        assert getattr(duplicate, analysis)() is not getattr(multiplier4, analysis)()
+    assert duplicate.transitive_fanin() is not multiplier4.transitive_fanin()
     assert_analyses_match_reference(duplicate)
 
     # Edited before its first analysis, as a fresh copy may be: the caches
@@ -267,12 +261,11 @@ def test_copies_and_pruned_netlists_analyse_afresh(multiplier4):
 
 def test_pickle_round_trip_gives_equal_analyses(perturbed_multipliers):
     for netlist in perturbed_multipliers:
-        analysed = [getattr(netlist, analysis)() for analysis in ANALYSES]
+        live = netlist.transitive_fanin()
         restored = pickle.loads(pickle.dumps(netlist))
         assert restored == netlist
         assert restored.fingerprint() == netlist.fingerprint()
         assert restored.num_inputs == netlist.num_inputs
-        for analysis, expected in zip(ANALYSES, analysed):
-            value = getattr(restored, analysis)()
-            assert np.array_equal(value, expected)
-            assert not value.flags.writeable
+        value = restored.transitive_fanin()
+        assert np.array_equal(value, live)
+        assert not value.flags.writeable
