@@ -14,9 +14,10 @@ of its exact-evaluation pattern budget**:
   reported by the strategy's ``telemetry["exact_pattern_budget"]``.
 
 Both strategies are seeded and deterministic, so the measured ratios are
-reproducible bit for bit; the committed ``baseline`` section of the JSON
+reproducible bit for bit; the ``baseline`` section of the committed JSON
 pins them, and a run that degrades hypervolume-per-budget against that
 baseline beyond a small float-drift tolerance fails (CI runs this gate).
+The run's own numbers go to ``bench_runs/`` (see ``bench_record``).
 
 Set ``REPRO_BENCH_QUICK=1`` (the CI jobs do) to shrink the surrogate
 budget; both gates are asserted in both modes.
@@ -26,11 +27,11 @@ from __future__ import annotations
 
 import json
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from bench_record import committed_path, output_path
 from repro.autoax import (
     GaussianFilterAccelerator,
     HwCostEstimator,
@@ -61,7 +62,7 @@ BUDGET_CEILING = 0.5
 #: (different BLAS/numpy builds move SSIM in the last ulps).
 BASELINE_TOLERANCE = 0.02
 
-BENCH_JSON_PATH = Path(__file__).resolve().parents[1] / "BENCH_multifidelity.json"
+BENCH_JSON_NAME = "BENCH_multifidelity.json"
 
 #: sh_ehvi knobs behind the recorded numbers: one 96-pixel screening rung
 #: (an 8x8 centre crop of each input), 16 screened candidates, 7 promoted
@@ -76,16 +77,17 @@ SH_KNOBS = dict(
 
 
 def _record_section(section: str, payload: dict) -> None:
-    """Merge one benchmark section into ``BENCH_multifidelity.json``."""
+    """Merge one benchmark section into this run's ``BENCH_multifidelity.json``."""
+    path = output_path(BENCH_JSON_NAME)
     try:
-        document = json.loads(BENCH_JSON_PATH.read_text(encoding="utf-8"))
+        document = json.loads(path.read_text(encoding="utf-8"))
     except (FileNotFoundError, json.JSONDecodeError):
         document = {"benchmark": "multifidelity"}
     document["quick"] = QUICK
     document["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
     document[section] = payload
-    BENCH_JSON_PATH.write_text(json.dumps(document, indent=2) + "\n")
-    print(f"wrote {BENCH_JSON_PATH} [{section}]")
+    path.write_text(json.dumps(document, indent=2) + "\n")
+    print(f"wrote {path} [{section}]")
 
 
 @pytest.fixture(scope="module")
@@ -207,7 +209,7 @@ def test_sh_ehvi_matches_nsga2_hypervolume_at_half_the_exact_budget(benchmark, w
     # strategy change cannot silently trade hypervolume for budget.
     baseline_key = "baseline_quick" if QUICK else "baseline"
     try:
-        document = json.loads(BENCH_JSON_PATH.read_text(encoding="utf-8"))
+        document = json.loads(committed_path(BENCH_JSON_NAME).read_text(encoding="utf-8"))
         baseline = document.get(baseline_key)
     except (FileNotFoundError, json.JSONDecodeError):
         baseline = None

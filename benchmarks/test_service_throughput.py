@@ -1,6 +1,7 @@
 """Service-level throughput: cross-tenant cache amortisation + crash-resume.
 
-The service argument in numbers, recorded to ``BENCH_service.json``:
+The service argument in numbers, recorded to ``BENCH_service.json``
+(under ``bench_runs/`` unless re-baselining, see ``bench_record``):
 
 * **Two tenants, one cache** -- tenant *alice* pays the cold cost of an
   AutoAx study; tenants *bob* and *carol* submit the *identical* job and a
@@ -25,8 +26,8 @@ from __future__ import annotations
 
 import json
 import time
-from pathlib import Path
 
+from bench_record import output_path
 from repro.envflags import env_flag
 from repro.service import JobClient, JobRegistry, Worker
 
@@ -35,8 +36,6 @@ QUICK = env_flag("REPRO_BENCH_QUICK")
 #: Enforced floor on cold/warm wall-clock (measured margin: quick ~3.3-4.4x,
 #: full ~3.8-4.2x on an idle machine).
 WARM_SPEEDUP_FLOOR = 3.0
-
-BENCH_JSON_PATH = Path(__file__).resolve().parents[1] / "BENCH_service.json"
 
 #: One AutoAx study, sized so exact (cacheable) evaluation dominates the
 #: cold run: evaluation cost scales with image size, while the per-run
@@ -58,16 +57,17 @@ JOB_PARAMS = dict(
 
 
 def _record_section(section: str, payload: dict) -> None:
-    """Merge one benchmark section into ``BENCH_service.json``."""
+    """Merge one benchmark section into this run's ``BENCH_service.json``."""
+    path = output_path("BENCH_service.json")
     try:
-        document = json.loads(BENCH_JSON_PATH.read_text(encoding="utf-8"))
+        document = json.loads(path.read_text(encoding="utf-8"))
     except (FileNotFoundError, json.JSONDecodeError):
         document = {"benchmark": "service_throughput"}
     document["quick"] = QUICK
     document["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
     document[section] = payload
-    BENCH_JSON_PATH.write_text(json.dumps(document, indent=2) + "\n")
-    print(f"wrote {BENCH_JSON_PATH} [{section}]")
+    path.write_text(json.dumps(document, indent=2) + "\n")
+    print(f"wrote {path} [{section}]")
 
 
 # --------------------------------------------------------------------- #

@@ -17,9 +17,9 @@ and backend:
 
 Both backends must be bit-identical.  In full mode the 16-bit floors are
 enforced: compiled kernel >= 12x over bool, end to end >= 1.8x.  The
-measured table is also written to ``BENCH_simulation.json`` at the repo
-root (per-backend seconds, throughput and speedups) as the first artifact
-of the ROADMAP's perf-trajectory item.  Set ``REPRO_BENCH_QUICK=1`` to
+measured table is also written to ``BENCH_simulation.json`` (per-backend
+seconds, throughput and speedups; under ``bench_runs/`` unless
+re-baselining, see ``bench_record``).  Set ``REPRO_BENCH_QUICK=1`` to
 shrink the workload and drop the wall-clock floors (CI smoke / loaded
 machines).
 """
@@ -28,11 +28,11 @@ from __future__ import annotations
 
 import json
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from bench_record import output_path
 from repro.circuits import (
     bits_to_words,
     compile_netlist,
@@ -55,8 +55,6 @@ WIDTHS = (8,) if QUICK else (8, 12, 16)
 #: compiled kernel at ~100x over bool and end to end at ~3x).
 COMPILED_VS_BOOL_FLOOR = 12.0
 END_TO_END_SPEEDUP_FLOOR = 1.8
-
-BENCH_JSON_PATH = Path(__file__).resolve().parents[1] / "BENCH_simulation.json"
 
 
 def _best_of(callable_, repeats=2):
@@ -138,7 +136,8 @@ def test_simulation_throughput_across_backends(benchmark):
             f"{row['compile_s'] * 1000:>6.1f}ms"
         )
 
-    BENCH_JSON_PATH.write_text(
+    path = output_path("BENCH_simulation.json")
+    path.write_text(
         json.dumps(
             {
                 "benchmark": "simulation_throughput",
@@ -152,7 +151,7 @@ def test_simulation_throughput_across_backends(benchmark):
         )
         + "\n"
     )
-    print(f"wrote {BENCH_JSON_PATH}")
+    print(f"wrote {path}")
 
     if not QUICK:
         by_width = {row["width"]: row for row in rows}

@@ -25,8 +25,9 @@ the gate pins
   if a registered workload or strategy is missing from them (register a
   new one -> add it to the matrix, or the gate goes red).
 
-The measured cell table is written to ``BENCH_workload_matrix.json`` at
-the repo root (uploaded as a CI artifact by the ``workload-matrix`` job).
+The measured cell table is written to ``BENCH_workload_matrix.json``
+(under ``bench_runs/`` unless re-baselining, see ``bench_record``;
+uploaded as a CI artifact by the ``workload-matrix`` job).
 Set ``REPRO_BENCH_QUICK=1`` (the CI jobs do) to shrink the study sizes.
 No wall-clock floors are asserted: the gate pins structural and
 cache-accounting properties only, so it is stable on loaded machines.
@@ -36,10 +37,10 @@ from __future__ import annotations
 
 import json
 import time
-from pathlib import Path
 
 import pytest
 
+from bench_record import output_path
 from repro.api import ExplorationSession
 from repro.autoax import SEARCH_STRATEGIES, AutoAxConfig, components_from_library
 from repro.engine import EvalCache, accelerator_token
@@ -49,7 +50,6 @@ from repro.workloads import WORKLOADS, build_workload
 
 QUICK = env_flag("REPRO_BENCH_QUICK")
 
-BENCH_JSON_PATH = Path(__file__).resolve().parents[1] / "BENCH_workload_matrix.json"
 
 #: The pinned matrix axes.  These are deliberately literal tuples, not
 #: ``WORKLOADS.keys()``: the coverage test compares them against the live
@@ -236,7 +236,8 @@ def test_scenario_matrix_gate(components):
               f"{cell['front']:>6d} {cell['warm_axq_lookups']:>9d} "
               f"{cell['warm_axq_hit_rate']:>9.0%} {cell['cold_s']:>8.2f}")
 
-    BENCH_JSON_PATH.write_text(
+    path = output_path("BENCH_workload_matrix.json")
+    path.write_text(
         json.dumps(
             {
                 "benchmark": "workload_matrix",
@@ -251,7 +252,7 @@ def test_scenario_matrix_gate(components):
         )
         + "\n"
     )
-    print(f"wrote {BENCH_JSON_PATH}")
+    print(f"wrote {path}")
 
 
 def test_repeat_workload_run_is_served_from_cache(components):

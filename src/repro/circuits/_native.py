@@ -76,7 +76,6 @@ void repro_run_tape(
             case 1: for (j = 0; j < tw; ++j) d[j] = a[j] | b[j]; break;
             case 2: for (j = 0; j < tw; ++j) d[j] = a[j] ^ b[j]; break;
             case 3: for (j = 0; j < tw; ++j) d[j] = a[j] & ~b[j]; break;
-            case 4: for (j = 0; j < tw; ++j) d[j] = a[j] | ~b[j]; break;
             }
         }
         for (long k = 0; k < num_outputs; ++k) {

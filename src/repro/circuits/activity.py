@@ -25,15 +25,20 @@ def node_signal_probabilities(
     else:  # constant-only netlist: no operand fixes the pattern count
         input_bits = np.zeros((num_samples, 0), dtype=bool)
 
-    values = [input_bits[:, i] for i in range(netlist.num_inputs)]
-    zeros = np.zeros(num_samples, dtype=bool)
+    # One bool row per node; the per-node probabilities are exact integer
+    # counts over num_samples, so one count_nonzero pass replaces a mean()
+    # call per node without changing a bit.
     from .gates import evaluate_gate
 
-    for gate in netlist.gates:
+    num_inputs = netlist.num_inputs
+    values = np.empty((netlist.num_nodes, num_samples), dtype=bool)
+    values[:num_inputs] = input_bits.T
+    zeros = np.zeros(num_samples, dtype=bool)
+    for node, gate in enumerate(netlist.gates, start=num_inputs):
         a = values[gate.a] if gate.a >= 0 else zeros
         b = values[gate.b] if gate.b >= 0 else zeros
-        values.append(evaluate_gate(gate.gate_type, a, b))
-    return np.array([v.mean() for v in values], dtype=np.float64)
+        values[node] = evaluate_gate(gate.gate_type, a, b)
+    return np.count_nonzero(values, axis=1) / num_samples
 
 
 def node_switching_activities(

@@ -89,7 +89,6 @@ OP_AND = 0
 OP_OR = 1
 OP_XOR = 2
 OP_ANDNOT = 3  # a AND (NOT b)
-OP_ORNOT = 4   # a OR (NOT b)
 
 #: Canonical lowering of every non-degenerate two-input truth mask:
 #: mask -> (opcode, swap_operands, invert_output).  Masks index bits as
@@ -133,17 +132,11 @@ def _k_andnot(a, b, out):
     np.bitwise_and(a, out, out=out)
 
 
-def _k_ornot(a, b, out):
-    np.bitwise_not(b, out=out)
-    np.bitwise_or(a, out, out=out)
-
-
 _KERNELS: Dict[int, Callable[[np.ndarray, np.ndarray, np.ndarray], None]] = {
     OP_AND: _k_and,
     OP_OR: _k_or,
     OP_XOR: _k_xor,
     OP_ANDNOT: _k_andnot,
-    OP_ORNOT: _k_ornot,
 }
 
 
@@ -300,6 +293,16 @@ def _effective_mask(gate_type: GateType, a_inv: bool, b_inv: bool) -> int:
     return folded
 
 
+#: (gate type, a inverted, b inverted) -> truth mask with the input
+#: polarities folded in; lowering looks every live gate up here.
+_EFFECTIVE_MASKS: Dict[Tuple[GateType, bool, bool], int] = {
+    (gate_type, a_inv, b_inv): _effective_mask(gate_type, a_inv, b_inv)
+    for gate_type in GateType
+    for a_inv in (False, True)
+    for b_inv in (False, True)
+}
+
+
 def _compile(netlist: Netlist) -> CompiledProgram:
     num_inputs = netlist.num_inputs
     zero_slot = num_inputs
@@ -332,7 +335,7 @@ def _compile(netlist: Netlist) -> CompiledProgram:
         a_slot, a_inv, a_const = operand(gate.a)
         b_slot, b_inv, b_const = operand(gate.b)
 
-        mask = _effective_mask(gate.gate_type, a_inv, b_inv)
+        mask = _EFFECTIVE_MASKS[gate.gate_type, a_inv, b_inv]
         # Constant operands (and same-slot operands) restrict the mask to a
         # sub-function of at most one variable.
         if a_const is not None and b_const is not None:

@@ -15,7 +15,6 @@ results are unchanged.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -246,9 +245,8 @@ class FitAndSelectStage(Stage):
         X_train = np.vstack([records[name].features for name in training_names])
         X_val = np.vstack([records[name].features for name in validation_names])
 
-        evaluations: List[dict] = []
-        model_time_s = 0.0
-        fitted_models: Dict[Tuple[str, str], object] = {}
+        fits = []
+        keys: List[Tuple[str, str, np.ndarray]] = []  # (parameter, model id, y_val)
         for parameter in config.fpga_parameters:
             y_train = np.array(
                 [records[name].fpga.parameter(parameter) for name in training_names]
@@ -258,22 +256,26 @@ class FitAndSelectStage(Stage):
             )
             for model_id in config.model_ids:
                 model = build_model(model_id, state.feature_names, random_state=config.seed)
-                start = time.perf_counter()
-                model.fit(X_train, y_train)
-                estimates = model.predict(X_val)
-                elapsed = time.perf_counter() - start
-                model_time_s += elapsed
-                evaluations.append(
-                    {
-                        "model_id": model_id,
-                        "parameter": parameter,
-                        "fidelity": float(fidelity(y_val, estimates)),
-                        "pearson": float(pearson_correlation(y_val, estimates)),
-                        "r2": float(r2_score(y_val, estimates)),
-                        "train_time_s": float(elapsed),
-                    }
-                )
-                fitted_models[(parameter, model_id)] = model
+                fits.append((model, y_train))
+                keys.append((parameter, model_id, y_val))
+        results = state.engine.fit_models(fits, X_train, X_val, state.features)
+
+        evaluations: List[dict] = []
+        model_time_s = 0.0
+        library_estimates: Dict[Tuple[str, str], np.ndarray] = {}
+        for (parameter, model_id, y_val), (estimates, on_library, elapsed) in zip(keys, results):
+            model_time_s += elapsed
+            evaluations.append(
+                {
+                    "model_id": model_id,
+                    "parameter": parameter,
+                    "fidelity": float(fidelity(y_val, estimates)),
+                    "pearson": float(pearson_correlation(y_val, estimates)),
+                    "r2": float(r2_score(y_val, estimates)),
+                    "train_time_s": float(elapsed),
+                }
+            )
+            library_estimates[(parameter, model_id)] = on_library
 
         # --- Stage 5-6: estimate all circuits, build pseudo-Pareto fronts #
         errors = np.array([state.error_value(name) for name in names])
@@ -292,8 +294,7 @@ class FitAndSelectStage(Stage):
 
             fronts_per_model: List[List[int]] = []
             for model_id in top_models:
-                model = fitted_models[(parameter, model_id)]
-                model_estimates = model.predict(state.features)
+                model_estimates = library_estimates[(parameter, model_id)]
                 points = np.column_stack([errors, model_estimates])
                 fronts = successive_pareto_fronts(points, config.num_pseudo_fronts)
                 fronts_per_model.extend(fronts)
@@ -360,17 +361,20 @@ class ResynthesizeCandidatesStage(Stage):
 
     def compute(self, state: ApproxFpgasState) -> dict:
         device = state.fpga_synthesizer.device
+        # One engine call over the unmeasured candidates of every parameter,
+        # in parameter order and then candidate order.
+        pending_names = dict.fromkeys(
+            name
+            for parameter in state.config.fpga_parameters
+            for name in state.candidate_union[parameter]
+            if state.records[name].fpga is None
+        )
+        pending = [state.library.get(name) for name in pending_names]
         new_reports: Dict[str, dict] = {}
         resynthesis_time_s = 0.0
-        for parameter in state.config.fpga_parameters:
-            pending = [
-                state.library.get(name)
-                for name in state.candidate_union[parameter]
-                if state.records[name].fpga is None and name not in new_reports
-            ]
-            for circuit, report in zip(pending, state.engine.evaluate_fpga(pending)):
-                new_reports[circuit.name] = fpga_report_to_payload(report)
-                resynthesis_time_s += estimate_synthesis_time(circuit, device)
+        for circuit, report in zip(pending, state.engine.evaluate_fpga(pending)):
+            new_reports[circuit.name] = fpga_report_to_payload(report)
+            resynthesis_time_s += estimate_synthesis_time(circuit, device)
         return {"fpga": new_reports, "resynthesis_time_s": float(resynthesis_time_s)}
 
     def absorb(self, state: ApproxFpgasState, payload: dict) -> None:

@@ -17,13 +17,17 @@ circuits.  It combines three mechanisms:
   later sessions via the disk backend) are served without re-simulation.
 * **Fan-out** -- large miss sets can be dispatched to a
   :class:`~concurrent.futures.ProcessPoolExecutor`; results are reassembled
-  in input order, so serial and parallel modes are bit-identical.
+  in input order, so serial and parallel modes are bit-identical.  The
+  model-zoo fits of the ApproxFPGAs flow go through the same pool
+  (:meth:`BatchEvaluator.fit_models`): every model seeds its own generator,
+  so neither the process nor the order a fit runs in changes its estimates.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
+import time
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -151,6 +155,37 @@ def _worker_configurations(task) -> List[dict]:
             {"quality": float(quality), "cost": {name: float(v) for name, v in cost.items()}}
         )
     return payloads
+
+
+def _worker_fit(task) -> List[Tuple[np.ndarray, np.ndarray, float]]:
+    """Fit one unfitted model: its validation estimates, its estimates on
+    ``X_predict`` and its fit-plus-validation-predict seconds, as a list of
+    one (the shape every fan-out worker returns)."""
+    X_train, X_val, X_predict, model, y_train = task
+    start = time.perf_counter()
+    model.fit(X_train, y_train)
+    validation = model.predict(X_val)
+    elapsed = time.perf_counter() - start
+    return [(validation, model.predict(X_predict), elapsed)]
+
+
+def _fan_out(
+    worker: Callable[[tuple], List],
+    tasks: List[tuple],
+    workers: int,
+    serial: Callable[[], List],
+    degrade_on: Tuple[type, ...],
+) -> List:
+    """Concatenated ``worker(task)`` results on a pool of ``workers``
+    processes, in task order; ``serial()`` when ``workers`` is 0 or the pool
+    fails with one of ``degrade_on``."""
+    if workers:
+        try:
+            with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as executor:
+                return [result for chunk in executor.map(worker, tasks) for result in chunk]
+        except degrade_on:
+            pass
+    return serial()
 
 
 def _chunk(items: List, num_chunks: int) -> List[List]:
@@ -375,23 +410,15 @@ class BatchEvaluator:
         miss_circuits = [circuits[pending[key][0]] for key in miss_keys]
         workers = self._resolve_workers(len(miss_circuits))
 
-        payloads: List[dict]
-        if workers:
-            chunks = _chunk(miss_circuits, workers)
-            tasks = [make_task(context, chunk) for chunk in chunks]
-            try:
-                with ProcessPoolExecutor(max_workers=len(chunks)) as executor:
-                    payloads = [
-                        payload
-                        for chunk_result in executor.map(worker, tasks)
-                        for payload in chunk_result
-                    ]
-            except (OSError, BrokenExecutor):
-                # Sandboxed / fork-restricted environments, or a worker dying
-                # mid-run (OOM kill => BrokenProcessPool): degrade to serial.
-                payloads = [report_to_payload(compute(circuit)) for circuit in miss_circuits]
-        else:
-            payloads = [report_to_payload(compute(circuit)) for circuit in miss_circuits]
+        # Sandboxed / fork-restricted environments, or a worker dying
+        # mid-run (OOM kill => BrokenProcessPool), degrade to serial.
+        payloads = _fan_out(
+            worker,
+            [make_task(context, chunk) for chunk in _chunk(miss_circuits, workers)],
+            workers,
+            serial=lambda: [report_to_payload(compute(circuit)) for circuit in miss_circuits],
+            degrade_on=(OSError, BrokenExecutor),
+        )
 
         for key, payload in zip(miss_keys, payloads):
             self.cache.put(key, payload)
@@ -542,28 +569,50 @@ class BatchEvaluator:
                 )
             return payloads
 
-        if workers:
-            chunks = _chunk(miss_configs, workers)
-            tasks = [(context, accelerator, images, chunk) for chunk in chunks]
-            try:
-                with ProcessPoolExecutor(max_workers=len(chunks)) as executor:
-                    payloads = [
-                        payload
-                        for chunk_result in executor.map(_worker_configurations, tasks)
-                        for payload in chunk_result
-                    ]
-            except (OSError, BrokenExecutor, pickle.PicklingError, TypeError):
-                # Sandboxed environments, dead workers, or unpicklable
-                # accelerators: degrade to the serial batched path.
-                payloads = compute_serial()
-        else:
-            payloads = compute_serial()
+        # Sandboxed environments, dead workers, or unpicklable accelerators
+        # degrade to the serial batched path.
+        payloads = _fan_out(
+            _worker_configurations,
+            [(context, accelerator, images, chunk) for chunk in _chunk(miss_configs, workers)],
+            workers,
+            serial=compute_serial,
+            degrade_on=(OSError, BrokenExecutor, pickle.PicklingError, TypeError),
+        )
 
         for key, payload in zip(miss_keys, payloads):
             self.cache.put(key, payload)
             for index in pending[key]:
                 results[index] = payload
         return results  # type: ignore[return-value]
+
+    def fit_models(
+        self,
+        fits: Sequence[Tuple[object, np.ndarray]],
+        X_train: np.ndarray,
+        X_val: np.ndarray,
+        X_predict: np.ndarray,
+    ) -> List[Tuple[np.ndarray, np.ndarray, float]]:
+        """Fit each unfitted ``(model, y_train)`` on ``X_train``; in input order,
+        return its estimates on ``X_val`` and on ``X_predict`` and the seconds
+        its fit plus validation predict took where it ran.
+
+        Enough fits (see ``mode``/``parallel_threshold``) fan out over the
+        process pool one fit per task, so the pool balances fits whose cost
+        differs by orders of magnitude.  Each task ships its model unfitted
+        (runtime-registered models need no registry lookup in the worker);
+        unpicklable models, sandboxes and dead workers degrade to fitting
+        every model in this process.
+        """
+        tasks = [(X_train, X_val, X_predict, model, y_train) for model, y_train in fits]
+        return _fan_out(
+            _worker_fit,
+            tasks,
+            self._resolve_workers(len(tasks)),
+            serial=lambda: [result for task in tasks for result in _worker_fit(task)],
+            # Pickling a model that holds a lock raises TypeError; one built
+            # from a local class or lambda raises AttributeError.
+            degrade_on=(OSError, BrokenExecutor, pickle.PicklingError, TypeError, AttributeError),
+        )
 
     def evaluate_library(self, library, include_fpga: bool = False) -> LibraryEvaluation:
         """Errors + ASIC (and optionally FPGA) reports for a whole library."""

@@ -519,7 +519,6 @@ class TestCompiledProgram:
                 compiled_module.OP_OR,
                 compiled_module.OP_XOR,
                 compiled_module.OP_ANDNOT,
-                compiled_module.OP_ORNOT,
             }
 
     def test_program_cache_identity_and_eviction(self, multiplier4):

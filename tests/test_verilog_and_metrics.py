@@ -1,10 +1,13 @@
 """Tests for Verilog export, structural metrics and activity estimation."""
 
 import numpy as np
+import pytest
 
-from repro.circuits import GateType, structural_metrics, to_verilog
+from repro.circuits import Gate, GateType, Netlist, structural_metrics, to_verilog
 from repro.circuits.activity import node_signal_probabilities, node_switching_activities
-from repro.generators import truncated_adder
+from repro.circuits.gates import evaluate_gate
+from repro.circuits.simulate import expand_operand_bits, random_operands
+from repro.generators import perturb_netlist, truncated_adder
 
 
 def test_verilog_contains_module_and_ports(multiplier4):
@@ -73,3 +76,46 @@ def test_activity_deterministic_for_fixed_seed(multiplier4):
     first = node_switching_activities(multiplier4, num_samples=64, seed=11)
     second = node_switching_activities(multiplier4, num_samples=64, seed=11)
     assert np.array_equal(first, second)
+
+
+def _per_node_mean_oracle(netlist, num_samples, seed):
+    """Signal probabilities as one ``mean()`` per node value vector."""
+    rng = np.random.default_rng(seed)
+    if netlist.input_words:
+        bits = expand_operand_bits(netlist, random_operands(netlist, num_samples, rng))
+    else:
+        bits = np.zeros((num_samples, 0), dtype=bool)
+    values = [bits[:, i] for i in range(netlist.num_inputs)]
+    zeros = np.zeros(num_samples, dtype=bool)
+    for gate in netlist.gates:
+        a = values[gate.a] if gate.a >= 0 else zeros
+        b = values[gate.b] if gate.b >= 0 else zeros
+        values.append(evaluate_gate(gate.gate_type, a, b))
+    return np.array([v.mean() for v in values], dtype=np.float64)
+
+
+_CONSTANT_ONLY = Netlist(
+    name="constants",
+    kind="constant",
+    input_words={},
+    output_bits=(0, 1, 2),
+    gates=[Gate(GateType.CONST1), Gate(GateType.CONST0), Gate(GateType.NOT, 0)],
+)
+
+
+@pytest.mark.parametrize("num_samples", [1, 13, 100, 256, 1001])
+def test_signal_probabilities_equal_per_node_mean(multiplier4, adder8, num_samples):
+    netlists = [
+        multiplier4,
+        adder8,
+        perturb_netlist(multiplier4, seed=5),
+        truncated_adder(8, 3),
+        _CONSTANT_ONLY,
+    ]
+    for netlist in netlists:
+        for seed in (0, 99):
+            got = node_signal_probabilities(netlist, num_samples=num_samples, seed=seed)
+            expected = _per_node_mean_oracle(netlist, num_samples, seed)
+            assert got.dtype == np.float64
+            assert got.tobytes() == expected.tobytes(), netlist.name
+
